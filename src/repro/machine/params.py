@@ -15,6 +15,7 @@ function of the constants collected here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -169,41 +170,57 @@ class CommParams:
         _protocol, link = self.for_message(kind, locality, nbytes)
         return link.time(nbytes)
 
+    @cached_property
+    def _link_rows(self) -> Dict[Tuple[TransportKind, Locality, bool],
+                                 Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Protocol-selection table behind :meth:`link_arrays`.
+
+        One row per ``(kind, locality, pre_posted)``: the inclusive
+        size limits of :meth:`ProtocolThresholds.select` and the alpha
+        and beta of each protocol in chain order, with the
+        pre-posted rendezvous entry taken from :meth:`persistent_link`.
+        Cached outside the dataclass fields, so fingerprints and
+        equality see only the Table-2 constants.
+        """
+        th = self.thresholds
+        rows = {}
+        for kind in TransportKind:
+            if kind is TransportKind.GPU:
+                protocols = (Protocol.EAGER, Protocol.RENDEZVOUS)
+                limits = (th.gpu_eager_limit,)
+            else:
+                protocols = (Protocol.SHORT, Protocol.EAGER,
+                             Protocol.RENDEZVOUS)
+                limits = (th.short_limit, th.eager_limit)
+            for locality in Locality:
+                links = [self.link(kind, p, locality) for p in protocols]
+                for pre_posted in (False, True):
+                    alphas = [l.alpha for l in links]
+                    if pre_posted:
+                        alphas[-1] = self.link(kind, Protocol.EAGER,
+                                               locality).alpha
+                    rows[(kind, locality, pre_posted)] = (
+                        np.array(limits, dtype=float), np.array(alphas),
+                        np.array([l.beta for l in links]))
+        return rows
+
     def link_arrays(self, kind: TransportKind, locality: Locality,
                     sizes: np.ndarray,
                     pre_posted: bool = False
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-element Table-2 ``(alpha, beta)`` for a size array.
 
-        The array counterpart of :meth:`for_message` — the single
-        protocol-resolution entry point for the vectorized costing
-        kernel.  The ``np.select`` condition order replicates the
-        scalar threshold chain in :meth:`ProtocolThresholds.select`
-        (first true wins), so per-element results are bit-identical to
-        scalar selection.  ``pre_posted=True`` mirrors
-        :meth:`persistent_link` element-wise.
+        The array counterpart of :meth:`for_message` (and, with
+        ``pre_posted=True``, of :meth:`persistent_link`): one
+        ``searchsorted`` over the inclusive size limits picks each
+        element's protocol, so per-element results are bit-identical to
+        the scalar threshold chain.
         """
-        th = self.thresholds
         if np.any(sizes < 0):
             raise ValueError("message sizes must be >= 0")
-        if kind is TransportKind.GPU:
-            protocols = (Protocol.EAGER, Protocol.RENDEZVOUS)
-            conds = [sizes <= th.gpu_eager_limit]
-        else:
-            protocols = (Protocol.SHORT, Protocol.EAGER, Protocol.RENDEZVOUS)
-            conds = [sizes <= th.short_limit, sizes <= th.eager_limit]
-        links = [self.link(kind, p, locality) for p in protocols]
-        if pre_posted:
-            # Persistent channels: rendezvous (the np.select default)
-            # pays the eager latency, keeps the rendezvous bandwidth.
-            eager = self.link(kind, Protocol.EAGER, locality)
-            rend = links[-1]
-            links = links[:-1] + [LinkParams(eager.alpha, rend.beta)]
-        alpha = np.select(conds, [l.alpha for l in links[:-1]],
-                          default=links[-1].alpha)
-        beta = np.select(conds, [l.beta for l in links[:-1]],
-                         default=links[-1].beta)
-        return alpha, beta
+        limits, alphas, betas = self._link_rows[(kind, locality, pre_posted)]
+        protocol = np.searchsorted(limits, sizes, side="left")
+        return alphas[protocol], betas[protocol]
 
 
 CopyKey = Tuple[CopyDirection, int]

@@ -10,8 +10,8 @@ Figure 4.3 repeat the sweep with 25 % of the data flagged duplicate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.models.strategies import (
     all_strategy_models,
     model_label,
 )
-from repro.models.vectorized import SummaryBatch
 from repro.par.cache import ResultCache, cache_key
 from repro.par.executor import resolve_jobs, sweep_map
 from repro.paths.kernel import evaluate_plans_fused
@@ -64,93 +63,41 @@ PAPER_SCENARIOS = (
 
 
 def scenario_summary(machine: MachineSpec, scenario: Scenario,
-                     msg_size: float) -> PatternSummary:
+                     msg_size: Union[float, Sequence[float]]
+                     ) -> PatternSummary:
     """Table-7 quantities for one scenario at one message size.
 
     Messages are distributed evenly over destination nodes and over the
-    sending node's GPUs, as in the paper's construction.
+    sending node's GPUs, as in the paper's construction.  An array of
+    sizes gives the array-form summary of the whole sweep: counts are
+    size-independent, and byte quantities scale linearly with the same
+    multiplications as at one size.
     """
-    if msg_size < 0:
+    if np.ndim(msg_size):
+        msg_size = np.asarray(msg_size, dtype=float)
+    if not np.all(msg_size >= 0):  # NaN-safe
         raise ValueError(f"msg_size must be >= 0, got {msg_size!r}")
     gpn = max(machine.gpus_per_node, 1)
     n = scenario.num_dest_nodes
     m = scenario.num_messages
     per_pair = m / n
     per_proc = m / gpn
-    return PatternSummary(
+    counts = dict(
         num_dest_nodes=n,
         messages_per_node_pair=int(np.ceil(per_pair)),
-        bytes_per_node_pair=per_pair * msg_size,
-        node_bytes=m * msg_size,
-        proc_bytes=per_proc * msg_size,
         proc_messages=int(np.ceil(per_proc)),
         proc_dest_nodes=min(n, int(np.ceil(per_proc)) if per_proc else 0),
         active_gpus=gpn,  # messages spread evenly across on-node GPUs
     )
-
-
-def scenario_summary_batch(machine: MachineSpec, scenario: Scenario,
-                           sizes: Sequence[float]) -> SummaryBatch:
-    """Vectorized :func:`scenario_summary` over a size sweep.
-
-    Field-wise identical to building one summary per size: counts are
-    size-independent, byte quantities scale linearly with the same
-    multiplications as the scalar constructor.
-    """
-    msg_size = np.asarray(sizes, dtype=float)
-    if np.any(msg_size < 0):
-        raise ValueError("msg sizes must be >= 0")
-    gpn = max(machine.gpus_per_node, 1)
-    n = scenario.num_dest_nodes
-    m = scenario.num_messages
-    per_pair = m / n
-    per_proc = m / gpn
-    shape = msg_size.shape
-    return SummaryBatch(
-        num_dest_nodes=np.full(shape, n, dtype=int),
-        messages_per_node_pair=np.full(shape, int(np.ceil(per_pair)),
-                                       dtype=int),
+    if np.ndim(msg_size):
+        counts = {name: np.full(msg_size.shape, value, dtype=int)
+                  for name, value in counts.items()}
+    return PatternSummary(
         bytes_per_node_pair=per_pair * msg_size,
         node_bytes=m * msg_size,
         proc_bytes=per_proc * msg_size,
-        proc_messages=np.full(shape, int(np.ceil(per_proc)), dtype=int),
-        proc_dest_nodes=np.full(
-            shape, min(n, int(np.ceil(per_proc)) if per_proc else 0),
-            dtype=int),
-        active_gpus=np.full(shape, gpn, dtype=int),
+        **counts,
     )
-
-
-def _joint_scenario_batch(machine: MachineSpec,
-                          scenarios: Sequence[Scenario],
-                          sizes: np.ndarray,
-                          ) -> Tuple[SummaryBatch, np.ndarray]:
-    """One flat ``(scenarios x sizes)`` batch plus its keep-fraction row.
-
-    Field ``c * len(sizes) + z`` holds scenario ``c`` at size ``z`` —
-    exactly the concatenation of the per-scenario batches, so every
-    per-element quantity (and hence every fused cost) is bit-identical
-    to evaluating the scenarios one at a time.  ``keep`` carries
-    ``1.0 - dup_fraction`` per element for the node-aware byte scaling.
-    """
-    batches = [scenario_summary_batch(machine, sc, sizes)
-               for sc in scenarios]
-    joint = SummaryBatch(
-        num_dest_nodes=np.concatenate([b.num_dest_nodes for b in batches]),
-        messages_per_node_pair=np.concatenate(
-            [b.messages_per_node_pair for b in batches]),
-        bytes_per_node_pair=np.concatenate(
-            [b.bytes_per_node_pair for b in batches]),
-        node_bytes=np.concatenate([b.node_bytes for b in batches]),
-        proc_bytes=np.concatenate([b.proc_bytes for b in batches]),
-        proc_messages=np.concatenate([b.proc_messages for b in batches]),
-        proc_dest_nodes=np.concatenate(
-            [b.proc_dest_nodes for b in batches]),
-        active_gpus=np.concatenate([b.active_gpus for b in batches]),
-    )
-    keep = np.concatenate([
-        np.full(sizes.shape, 1.0 - sc.dup_fraction) for sc in scenarios])
-    return joint, keep
 
 
 def fused_scenario_times(machine: MachineSpec,
@@ -162,35 +109,27 @@ def fused_scenario_times(machine: MachineSpec,
     """All (strategy, scenario, size) cells in one fused kernel call.
 
     Returns ``(labels, times)`` with ``times`` of shape
-    ``(len(models), len(scenarios), len(sizes))``.  Each model compiles
-    *once* against the joint batch; the stacked plans then evaluate
-    through :func:`~repro.paths.kernel.evaluate_plans_fused`.  Every
-    cell is bit-identical to ``model.time_sweep(batch, dup_fraction)``
-    on the corresponding per-scenario batch:
-
-    * node-aware duplicate removal multiplies the joint byte fields by
-      the per-element keep row (``x * 1.0`` is a bitwise no-op for the
-      dup-free scenarios, the scalar keep factor elsewhere);
-    * empty cells are masked to 0.0 through the same ``np.where``.
+    ``(len(models), len(scenarios), len(sizes))``.  The scenarios'
+    size sweeps stack into one joint batch (element
+    ``c * len(sizes) + z`` is scenario ``c`` at size ``z``); each model
+    compiles *once* against it, node-aware models after per-element
+    duplicate removal, and the stacked plans evaluate through
+    :func:`~repro.paths.kernel.evaluate_plans_fused`.  Every cell is
+    bit-identical to the scalar ``model.time(summary, dup_fraction)``.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     if models is None:
         models = all_strategy_models(machine,
                                      include_extended=include_extended)
-    joint, keep = _joint_scenario_batch(machine, scenarios, sizes)
-    has_dup = bool(np.any(keep != 1.0))
-    dedup = None
-    if has_dup and any(m.node_aware for m in models):
-        dedup = replace(
-            joint,
-            bytes_per_node_pair=joint.bytes_per_node_pair * keep,
-            node_bytes=joint.node_bytes * keep,
-            proc_bytes=joint.proc_bytes * keep,
-        )
-    plans = [m.compile_plan_batch(dedup if (dedup is not None
-                                            and m.node_aware) else joint)
+    joint = PatternSummary.stack(
+        [scenario_summary(machine, sc, sizes) for sc in scenarios])
+    dup = np.repeat([sc.dup_fraction for sc in scenarios], sizes.size)
+    dedup = joint
+    if np.any(dup) and any(m.node_aware for m in models):
+        dedup = joint.with_duplicate_removal(dup)
+    plans = [m.compile_plan_batch(dedup if m.node_aware else joint)
              for m in models]
-    times = evaluate_plans_fused(machine, plans, n=joint.node_bytes.size)
+    times = evaluate_plans_fused(machine, plans, n=joint.width)
     times = np.where(joint.is_empty[None, :], 0.0, times)
     labels = [model_label(m) for m in models]
     return labels, times.reshape(len(models), len(scenarios), sizes.size)

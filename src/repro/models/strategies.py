@@ -14,14 +14,14 @@ Split + MD     T_off(m_pn, s_n/ppn) + 2 T_on_split(s_n, 1) + T_copy(...)
 Split + DD     T_off(m_pn, s_n/ppn) + 2 T_on_split(s_n, 4) + T_copy(...)
 =============  =========================================================
 
-Since the hop-plan refactor each class implements a single generic
-``_stages(summary, ops)`` compiler producing the strategy's
-:class:`~repro.paths.ir.HopStage` sequence; the base class evaluates
-those stages through the shared costing kernel with the scalar algebra
-(:meth:`StrategyModel.time`) or the array algebra over a
-:class:`SummaryBatch` (:meth:`StrategyModel.time_sweep`), and exposes
-the full declarative :class:`~repro.paths.ir.HopPlan` via
-:meth:`StrategyModel.compile_plan` for the DES structural cross-check.
+Each class implements a single ``_stages(summary, ops)`` compiler
+producing the strategy's :class:`~repro.paths.ir.HopStage` sequence
+from a scalar or an array-form :class:`PatternSummary`.  The base class
+costs one summary through the scalar reference coster
+(:meth:`StrategyModel.time`) and a batch through the fused array coster
+(:meth:`StrategyModel.time_sweep`), and exposes the full declarative
+:class:`~repro.paths.ir.HopPlan` via :meth:`StrategyModel.compile_plan`
+for the DES structural cross-check.
 
 Duplicate-data removal (``dup_fraction``) shrinks the byte quantities of
 the node-aware strategies only — standard communication retains the
@@ -39,8 +39,10 @@ import numpy as np
 from repro.machine.locality import Locality
 from repro.machine.topology import MachineSpec
 from repro.models.pattern_summary import PatternSummary
-from repro.models.vectorized import SummaryBatch
 from repro.paths.compile import (
+    ARRAY_OPS,
+    SCALAR_OPS,
+    Ops,
     as_setup,
     copy_stage,
     device_off_node_stage,
@@ -57,7 +59,7 @@ from repro.paths.ir import (
     HopStage,
     Serialization,
 )
-from repro.paths.kernel import ARRAY_OPS, SCALAR_OPS, Ops, evaluate_stages
+from repro.paths.kernel import evaluate_plans_fused, evaluate_stages
 
 #: Default persistence window for Neighbor P: exchanges a channel setup
 #: amortizes over.  Iterative solvers reuse one communication pattern
@@ -117,26 +119,22 @@ class StrategyModel:
         return self._time(summary)
 
     def time_sweep(self,
-                   summaries: Union[SummaryBatch, Sequence[PatternSummary]],
+                   summaries: Union[PatternSummary, Sequence[PatternSummary]],
                    dup_fraction: float = 0.0) -> np.ndarray:
-        """Vectorized :meth:`time` over a batch of summaries.
+        """:meth:`time` over a batch of summaries, through the fused coster.
 
-        Accepts a :class:`SummaryBatch` (typically from
-        :func:`repro.models.scenarios.scenario_summary_batch`) or a
-        sequence of scalar summaries.  Returns times bit-identical to
-        calling :meth:`time` point-wise — the same stages evaluate
-        through the same kernel, with the array algebra replicating the
-        scalar floating-point operation order exactly.
+        Accepts a summary of either form (typically a size sweep from
+        :func:`repro.models.scenarios.scenario_summary`) or a sequence
+        of summaries.  The one compiled plan costs through
+        :func:`~repro.paths.kernel.evaluate_plans_fused`, bit-identical
+        to calling :meth:`time` point-wise.
         """
-        batch = (summaries if isinstance(summaries, SummaryBatch)
-                 else SummaryBatch.from_summaries(list(summaries)))
-        if self.node_aware and dup_fraction > 0.0:
-            batch = batch.with_duplicate_removal(dup_fraction)
-        times = np.asarray(self._time_vec(batch), dtype=float)
-        empty = batch.is_empty
-        if np.any(empty):
-            times = np.where(empty, 0.0, times)
-        return times
+        if isinstance(summaries, PatternSummary):
+            summaries = [summaries]
+        batch = PatternSummary.stack(summaries)
+        plan = self.compile_plan_batch(batch, dup_fraction)
+        times = evaluate_plans_fused(self.machine, [plan], n=batch.width)[0]
+        return np.where(batch.is_empty, 0.0, times)
 
     def compile_plan(self, summary: PatternSummary,
                      dup_fraction: float = 0.0) -> HopPlan:
@@ -153,9 +151,9 @@ class StrategyModel:
                        stages=tuple(self._stages(summary, SCALAR_OPS)),
                        uncosted_phases=self.uncosted_phases)
 
-    def compile_plan_batch(self, batch: SummaryBatch,
+    def compile_plan_batch(self, batch: PatternSummary,
                            dup_fraction: float = 0.0) -> HopPlan:
-        """Batch counterpart of :meth:`compile_plan` (array quantities)."""
+        """:meth:`compile_plan` for an array-form summary (array quantities)."""
         if self.node_aware and dup_fraction > 0.0:
             batch = batch.with_duplicate_removal(dup_fraction)
         return HopPlan(strategy=self.name, data_path=self.data_path,
@@ -167,19 +165,14 @@ class StrategyModel:
         """Compile the strategy's hop stages from summary quantities.
 
         Generic over scalar summaries (``ops=SCALAR_OPS``) and
-        :class:`SummaryBatch` (``ops=ARRAY_OPS``) — the two share field
-        names.  Subclasses implement exactly this method; all costing
-        goes through the shared kernel.
+        array-form summaries (``ops=ARRAY_OPS``).  Subclasses implement
+        exactly this method; all costing goes through the kernel.
         """
         raise NotImplementedError  # pragma: no cover
 
     def _time(self, summary: PatternSummary) -> float:
-        return evaluate_stages(self.machine, self._stages(summary, SCALAR_OPS),
-                               SCALAR_OPS)
-
-    def _time_vec(self, b: SummaryBatch) -> np.ndarray:
-        return evaluate_stages(self.machine, self._stages(b, ARRAY_OPS),
-                               ARRAY_OPS)
+        return evaluate_stages(self.machine,
+                               self._stages(summary, SCALAR_OPS))
 
     # -- shared helpers -----------------------------------------------------------
     @property
@@ -190,9 +183,6 @@ class StrategyModel:
     def _dests_per_proc(self, s, ops: Ops = SCALAR_OPS):
         """Destination nodes handled per paired process (round-robin)."""
         return ops.ceil(s.num_dest_nodes / self.gpn)
-
-    def _dests_per_proc_vec(self, b: SummaryBatch) -> np.ndarray:
-        return self._dests_per_proc(b, ARRAY_OPS)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} on {self.machine.name}>"
@@ -427,10 +417,6 @@ class _SplitModelBase(StrategyModel):
         split to that cap.
         """
         return self._split_counts(summary, SCALAR_OPS)
-
-    def split_counts_vec(self, b: SummaryBatch):
-        """Array version of :meth:`split_counts` (same branch order)."""
-        return self._split_counts(b, ARRAY_OPS)
 
     def _stages(self, s, ops: Ops) -> List[HopStage]:
         total_msgs, msg_size = self._split_counts(s, ops)

@@ -10,12 +10,11 @@ Protocol selection: each term picks the (alpha, beta) row of Table 2 by
 the size of the *individual message* it describes, mirroring how the MPI
 library would switch protocols.
 
-Since the hop-plan refactor these functions are thin wrappers: each
-validates its inputs, builds the canonical hop stage from
-:mod:`repro.paths.compile`, and evaluates it through the shared scalar
-costing kernel — the identical stages and kernel also serve the
-vectorized sweeps and the strategy models, so no cost arithmetic is
-duplicated here.
+These functions are thin wrappers: each validates its inputs, builds
+the canonical hop stage from :mod:`repro.paths.compile`, and evaluates
+it through the scalar reference coster in :mod:`repro.paths.kernel` —
+the strategy models build their plans from the same stage builders, so
+no cost arithmetic is duplicated here.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 from repro.machine.locality import TransportKind
 from repro.machine.topology import MachineSpec
 from repro.paths.compile import (
+    SCALAR_OPS,
     copy_stage,
     device_off_node_stage,
     hierarchical_on_node_stage,
@@ -31,7 +31,7 @@ from repro.paths.compile import (
     split_on_node_stage,
 )
 from repro.paths.ir import HopKind
-from repro.paths.kernel import SCALAR_OPS, stage_cost
+from repro.paths.kernel import stage_cost
 
 
 def _hop_kind(kind: TransportKind) -> HopKind:
@@ -52,7 +52,7 @@ def t_on(machine: MachineSpec, s: float,
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s!r}")
     stage = on_node_stage(machine, _hop_kind(kind), s, phases=("gather",))
-    return stage_cost(machine, stage, SCALAR_OPS)
+    return stage_cost(machine, stage)
 
 
 def t_on_split(machine: MachineSpec, s_total: float, ppg: int,
@@ -83,7 +83,7 @@ def t_on_split(machine: MachineSpec, s_total: float, ppg: int,
         raise ValueError(f"active_gpus must be >= 1, got {active_gpus!r}")
     stage = split_on_node_stage(machine, s_total, ppg, ppn, active_gpus,
                                 SCALAR_OPS, phases=("distribute",))
-    return stage_cost(machine, stage, SCALAR_OPS)
+    return stage_cost(machine, stage)
 
 
 def t_on_hierarchical(machine: MachineSpec, s: float,
@@ -101,7 +101,7 @@ def t_on_hierarchical(machine: MachineSpec, s: float,
         raise ValueError(f"s must be >= 0, got {s!r}")
     stage = hierarchical_on_node_stage(machine, _hop_kind(kind), s,
                                        phases=("socket-gather",))
-    return stage_cost(machine, stage, SCALAR_OPS)
+    return stage_cost(machine, stage)
 
 
 def t_off(machine: MachineSpec, m: int, s_proc: float, s_node: float,
@@ -127,7 +127,7 @@ def t_off(machine: MachineSpec, m: int, s_proc: float, s_node: float,
     if msg_size < 0:
         msg_size = s_proc / max(m, 1)
     stage = off_node_stage(m, s_proc, s_node, msg_size)
-    return stage_cost(machine, stage, SCALAR_OPS)
+    return stage_cost(machine, stage)
 
 
 def t_off_device_aware(machine: MachineSpec, m: int, s_proc: float,
@@ -145,7 +145,7 @@ def t_off_device_aware(machine: MachineSpec, m: int, s_proc: float,
     if msg_size < 0:
         msg_size = s_proc / max(m, 1)
     stage = device_off_node_stage(m, s_proc, msg_size)
-    return stage_cost(machine, stage, SCALAR_OPS)
+    return stage_cost(machine, stage)
 
 
 def t_copy(machine: MachineSpec, s_send: float, s_recv: float,
@@ -162,4 +162,4 @@ def t_copy(machine: MachineSpec, s_send: float, s_recv: float,
     if s_send < 0 or s_recv < 0:
         raise ValueError("s_send and s_recv must be >= 0")
     stage = copy_stage(s_send, s_recv, nproc=nproc)
-    return stage_cost(machine, stage, SCALAR_OPS)
+    return stage_cost(machine, stage)

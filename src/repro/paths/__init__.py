@@ -1,11 +1,11 @@
-"""Declarative hop-plan IR and the shared costing kernel.
+"""Declarative hop-plan IR and the analytic costing kernel.
 
 Each strategy model compiles ``(pattern summary, machine, layout)``
 into a :class:`HopPlan` — an ordered sequence of typed hop stages —
-which one kernel then evaluates three ways: scalar analytic cost,
-batched numpy cost over a sweep, and a structural cross-check against
-the messages a DES program actually put on the wire.  See
-``docs/api.md`` ("Path IR & costing kernel").
+which serves three consumers: the scalar reference coster, the fused
+array coster over a sweep, and a structural cross-check against the
+messages a DES program actually put on the wire.  See ``docs/api.md``
+("Path IR & costing kernel").
 """
 
 from repro.paths.ir import (
@@ -18,10 +18,7 @@ from repro.paths.ir import (
     StageKind,
 )
 from repro.paths.kernel import (
-    ARRAY_OPS,
-    SCALAR_OPS,
     FusedPlans,
-    Ops,
     cost_plan,
     evaluate_plans_fused,
     evaluate_stages,
@@ -30,6 +27,9 @@ from repro.paths.kernel import (
     stage_cost,
 )
 from repro.paths.compile import (
+    ARRAY_OPS,
+    SCALAR_OPS,
+    Ops,
     as_setup,
     copy_stage,
     device_off_node_stage,

@@ -3,20 +3,24 @@
 Each builder turns one model term into a :class:`~repro.paths.ir.HopStage`
 — the hop *counts and sizes* live here, the cost arithmetic lives in
 :mod:`repro.paths.kernel`.  The scalar sub-model wrappers in
-:mod:`repro.models.submodels`, their vectorized twins in
-:mod:`repro.models.vectorized`, and the strategy compilers in
-:mod:`repro.models.strategies` all build their stages through these
+:mod:`repro.models.submodels` and the strategy compilers in
+:mod:`repro.models.strategies` both build their stages through these
 functions, so a hop decision exists in exactly one place.
 
-Builders that branch on data (eq. 4.2's socket occupancy, the Split
-message-cap resolution) take an :class:`~repro.paths.kernel.Ops`
-bundle so one body serves scalars and arrays.
+Plans compile from a scalar or an array-form
+:class:`~repro.models.pattern_summary.PatternSummary`.  Compilation
+steps that branch on data (eq. 4.2's socket occupancy, the Split
+message-cap resolution) take an :class:`Ops` bundle — :data:`SCALAR_OPS`
+or :data:`ARRAY_OPS` — so one body serves both forms.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Tuple
+import math
+from typing import Any, Callable, Optional, Tuple
+
+import numpy as np
 
 from repro.machine.locality import CopyDirection, Locality
 from repro.machine.topology import MachineSpec
@@ -28,7 +32,34 @@ from repro.paths.ir import (
     Serialization,
     StageKind,
 )
-from repro.paths.kernel import Ops
+
+
+@dataclasses.dataclass(frozen=True)
+class Ops:
+    """Compile-time operand algebra: scalars or numpy arrays."""
+
+    name: str
+    ceil: Callable[[Any], Any]
+    maximum: Callable[[Any, Any], Any]
+    minimum: Callable[[Any, Any], Any]
+    where: Callable[[Any, Any, Any], Any]
+
+
+SCALAR_OPS = Ops(
+    name="scalar",
+    ceil=math.ceil,
+    maximum=max,
+    minimum=min,
+    where=lambda cond, a, b: a if cond else b,
+)
+
+ARRAY_OPS = Ops(
+    name="array",
+    ceil=np.ceil,
+    maximum=np.maximum,
+    minimum=np.minimum,
+    where=np.where,
+)
 
 
 def on_node_stage(machine: MachineSpec, hop_kind: HopKind, s: Any, *,

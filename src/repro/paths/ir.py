@@ -7,17 +7,19 @@ messages, how large, over which locality, serialized how (one after the
 other vs. rate-limited in parallel).  The plan is the single source of
 truth shared by three consumers:
 
-* the scalar analytic coster (``StrategyModel.time``),
-* the batched numpy coster (``StrategyModel.time_sweep``),
+* the scalar reference coster (``StrategyModel.time``),
+* the fused array coster (``StrategyModel.time_sweep`` and the
+  scenario sweeps, through :func:`repro.paths.kernel.evaluate_plans_fused`),
 * the DES structural cross-check (:mod:`repro.paths.check`), which
   verifies that the transport operations a ``core.*`` program actually
   emitted (per tracer phase lane) are consistent with the plan's stages.
 
 Quantities (``count``, ``nbytes``, …) are either Python scalars (plans
-compiled from one :class:`~repro.models.pattern_summary.PatternSummary`)
-or numpy arrays (plans compiled from a
-:class:`~repro.models.vectorized.SummaryBatch` sweep); the costing
-kernel in :mod:`repro.paths.kernel` is generic over both.
+compiled from a scalar
+:class:`~repro.models.pattern_summary.PatternSummary`) or numpy arrays
+(plans compiled from an array-form summary of a sweep); the kernel in
+:mod:`repro.paths.kernel` costs the first form with the scalar
+reference and stacks the second for the fused coster.
 """
 
 from __future__ import annotations

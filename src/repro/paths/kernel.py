@@ -1,106 +1,66 @@
-"""The shared costing kernel: one evaluator, two operand algebras.
+"""The analytic costing kernel: a scalar reference and a fused array coster.
 
-Every cost in the analytic layer is produced here, by walking a
-sequence of :class:`~repro.paths.ir.HopStage` records and charging each
-hop from the machine's Table-2/3/4 constants.  The *same* code path
-serves the scalar coster and the batched numpy coster: an :class:`Ops`
-bundle supplies ``ceil``/``max``/``where``/protocol-selection operating
-either on Python scalars (:data:`SCALAR_OPS`) or on numpy arrays
-(:data:`ARRAY_OPS`).
+Every cost in the analytic layer is produced here, by walking
+:class:`~repro.paths.ir.HopStage` records and charging each hop from
+the machine's Table-2/3/4 constants.  There are exactly two costers:
 
-Bit-exactness contract: for scalar inputs the kernel applies exactly
-the floating-point operations (and order) of the historical hand-written
-``_time`` bodies, and for array inputs exactly those of their
-``*_vec`` twins — stage sums start from the first hop's cost, stages
-accumulate left-associatively, and a ``repeat`` factor multiplies the
-finished stage sum (exact for the power-of-two repeats the models use).
-The goldens in ``tests/test_equivalence.py`` pin this.
+* the **scalar reference** — :func:`hop_cost` / :func:`stage_cost` /
+  :func:`evaluate_stages` / :func:`cost_plan` over plans compiled from
+  one scalar :class:`~repro.models.pattern_summary.PatternSummary`
+  (``StrategyModel.time``, validation, the selector, crossovers);
+* the **fused array coster** — :func:`stack_plans` lowers any number of
+  plans compiled from an array-form summary into padded tensors, and
+  :meth:`FusedPlans.evaluate` costs every (plan, element) cell at once
+  (``StrategyModel.time_sweep``, the scenario sweeps, the atlas).
+
+Bit-exactness contract: stage sums start from the first hop's cost,
+stages accumulate left-associatively, and a ``repeat`` factor
+multiplies the finished stage sum (exact for the power-of-two repeats
+the models use).  The fused coster applies the same floating-point
+operations in the same order per element, so it is bit-identical to the
+scalar reference; the goldens in ``tests/test_equivalence.py`` pin both.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.machine.locality import TransportKind
 from repro.machine.topology import MachineSpec
 from repro.paths.ir import Hop, HopKind, HopPlan, HopStage, Serialization
 
 
-@dataclass(frozen=True)
-class Ops:
-    """Operand algebra the kernel is generic over."""
+def tier_scaled(machine: MachineSpec, tier: Optional[int], alpha: Any,
+                beta: Any) -> Tuple[Any, Any]:
+    """Refine a flat ``(alpha, beta)`` with tier ``tier``'s scale factors.
 
-    name: str
-    ceil: Callable[[Any], Any]
-    maximum: Callable[[Any, Any], Any]
-    minimum: Callable[[Any, Any], Any]
-    where: Callable[[Any, Any, Any], Any]
-    any: Callable[[Any], bool]
-    #: ``link(machine, kind, locality, nbytes, pre_posted) -> (alpha,
-    #: beta)`` with protocol selection by individual-message size
-    link: Callable[[MachineSpec, TransportKind, Any, Any, bool], Any]
-
-
-def _scalar_link(machine: MachineSpec, kind: TransportKind, locality,
-                 nbytes, pre_posted: bool = False):
-    if pre_posted:
-        _protocol, link = machine.comm_params.persistent_link(
-            kind, locality, nbytes)
-    else:
-        _protocol, link = machine.comm_params.for_message(
-            kind, locality, nbytes)
-    return link.alpha, link.beta
+    Scalars or arrays alike.  Flat hops (``tier is None``) and unit
+    scales leave the operands untouched, so the degenerate case takes
+    exactly the pre-hierarchy values.
+    """
+    if tier is not None:
+        scales = machine.locality_hierarchy[tier]
+        if scales.alpha_scale != 1.0:
+            alpha = scales.alpha_scale * alpha
+        if scales.beta_scale != 1.0:
+            beta = scales.beta_scale * beta
+    return alpha, beta
 
 
-def _array_link(machine: MachineSpec, kind: TransportKind, locality, nbytes,
-                pre_posted: bool = False):
-    return machine.comm_params.link_arrays(kind, locality, nbytes,
-                                           pre_posted=pre_posted)
-
-
-SCALAR_OPS = Ops(
-    name="scalar",
-    ceil=math.ceil,
-    maximum=max,
-    minimum=min,
-    where=lambda cond, a, b: a if cond else b,
-    any=bool,
-    link=_scalar_link,
-)
-
-ARRAY_OPS = Ops(
-    name="array",
-    ceil=np.ceil,
-    maximum=np.maximum,
-    minimum=np.minimum,
-    where=np.where,
-    any=np.any,
-    link=_array_link,
-)
-
-
-def resolve_link(machine: MachineSpec, hop: Hop, ops: Ops) -> Any:
+def resolve_link(machine: MachineSpec, hop: Hop) -> Tuple[float, float]:
     """Tier-aware ``(alpha, beta)`` for a send hop.
 
-    Protocol selection runs over the hop's flat ``locality`` (honoring
-    ``pre_posted`` persistent channels); a tier index then refines the
-    pair with the tier's alpha/beta scale factors.  Flat hops
-    (``tier is None``) never consult the hierarchy — the degenerate
-    case takes exactly the pre-hierarchy code path.
+    Protocol selection runs over the hop's flat ``locality`` by
+    individual-message size (honoring ``pre_posted`` persistent
+    channels); :func:`tier_scaled` then applies the hop's tier.
     """
-    alpha, beta = ops.link(machine, hop.kind.transport_kind, hop.locality,
-                           hop.nbytes, hop.pre_posted)
-    if hop.tier is not None:
-        tier = machine.locality_hierarchy[hop.tier]
-        if tier.alpha_scale != 1.0:
-            alpha = tier.alpha_scale * alpha
-        if tier.beta_scale != 1.0:
-            beta = tier.beta_scale * beta
-    return alpha, beta
+    comm = machine.comm_params
+    select = comm.persistent_link if hop.pre_posted else comm.for_message
+    _protocol, link = select(hop.kind.transport_kind, hop.locality,
+                             hop.nbytes)
+    return tier_scaled(machine, hop.tier, link.alpha, link.beta)
 
 
 def cpu_injection_rate(machine: MachineSpec, hop: Hop) -> float:
@@ -121,7 +81,7 @@ def cpu_injection_rate(machine: MachineSpec, hop: Hop) -> float:
     return nic.injection_rate * nic.nics_per_node
 
 
-def hop_cost(machine: MachineSpec, hop: Hop, ops: Ops) -> Any:
+def hop_cost(machine: MachineSpec, hop: Hop) -> float:
     """Cost of one hop from the machine's measured constants.
 
     SEQUENTIAL: postal model times count.  MAX_RATE: eq. (4.3) for CPU
@@ -133,42 +93,35 @@ def hop_cost(machine: MachineSpec, hop: Hop, ops: Ops) -> Any:
     if hop.kind is HopKind.MEMCPY:
         link = machine.copy_params.link(hop.direction, hop.nproc)
         return link.alpha + link.beta * hop.nbytes
-    alpha, beta = resolve_link(machine, hop, ops)
+    alpha, beta = resolve_link(machine, hop)
     if hop.serialization is Serialization.SEQUENTIAL:
         return hop.count * (alpha + beta * hop.nbytes)
     if hop.kind is HopKind.CPU_SEND:
         rn = cpu_injection_rate(machine, hop)
-        return alpha * hop.count + ops.maximum(hop.node_bytes / rn,
-                                               hop.total_bytes * beta)
+        return alpha * hop.count + max(hop.node_bytes / rn,
+                                       hop.total_bytes * beta)
     base = alpha * hop.count + hop.total_bytes * beta
     gpu_rate = machine.nic.gpu_injection_rate
     if gpu_rate != float("inf"):
         gpn = max(machine.gpus_per_node, 1)
-        base = alpha * hop.count + ops.maximum(
+        base = alpha * hop.count + max(
             gpn * hop.total_bytes / (gpu_rate * machine.nic.nics_per_node),
             hop.total_bytes * beta)
     return base
 
 
-def stage_cost(machine: MachineSpec, stage: HopStage, ops: Ops) -> Any:
-    """Cost of one stage: hop costs summed in order, times ``repeat``.
+def stage_cost(machine: MachineSpec, stage: HopStage) -> float:
+    """Cost of one stage: enabled hop costs summed in order, times ``repeat``.
 
-    Conditional hops (``enabled`` other than the literal ``True``) fold
-    onto the running sum through ``ops.where`` — replicating the scalar
-    ``if`` branches and their ``np.where`` twins bitwise — and are
-    skipped entirely when no element enables them.  SETUP stages
-    amortize: the finished (repeated) sum divides by ``amortize_over``.
+    Disabled conditional hops are skipped.  SETUP stages amortize: the
+    finished (repeated) sum divides by ``amortize_over``.
     """
     total = None
     for hop in stage.hops:
-        if hop.enabled is True:
-            cost = hop_cost(machine, hop, ops)
-            total = cost if total is None else total + cost
-        else:
-            if not ops.any(hop.enabled):
-                continue
-            cost = hop_cost(machine, hop, ops)
-            total = ops.where(hop.enabled, total + cost, total)
+        if not hop.enabled:
+            continue
+        cost = hop_cost(machine, hop)
+        total = cost if total is None else total + cost
     if stage.repeat != 1.0:
         total = stage.repeat * total
     if stage.amortize_over != 1.0:
@@ -176,34 +129,30 @@ def stage_cost(machine: MachineSpec, stage: HopStage, ops: Ops) -> Any:
     return total
 
 
-def evaluate_stages(machine: MachineSpec, stages: Sequence[HopStage],
-                    ops: Ops) -> Any:
+def evaluate_stages(machine: MachineSpec,
+                    stages: Sequence[HopStage]) -> float:
     """Total plan cost: stage costs summed left-associatively."""
     total = None
     for stage in stages:
-        cost = stage_cost(machine, stage, ops)
+        cost = stage_cost(machine, stage)
         total = cost if total is None else total + cost
     return 0.0 if total is None else total
 
 
-def cost_plan(machine: MachineSpec, plan: HopPlan,
-              ops: Ops = SCALAR_OPS) -> Any:
-    """Evaluate a compiled :class:`HopPlan` (scalar algebra by default)."""
-    return evaluate_stages(machine, plan.stages, ops)
+def cost_plan(machine: MachineSpec, plan: HopPlan) -> float:
+    """Evaluate a compiled scalar :class:`HopPlan`."""
+    return evaluate_stages(machine, plan.stages)
 
 
 # -- fused multi-plan evaluation ---------------------------------------------
 #
-# The per-plan evaluator above walks stages/hops in Python once per
-# (plan, element-batch) pair.  For whole-sweep costing — every strategy
-# x every scenario cell x every message size — that walk itself becomes
-# the bottleneck.  stack_plans() lowers a *list* of compiled plans into
-# padded operand tensors of shape (plans, stages, hops, elements); the
-# hop formulas then evaluate over the entire tensor with one numpy
-# expression per formula, and FusedPlans.evaluate() folds hops and
-# stages with the same left-associative order (explicit small loops, not
-# pairwise np.sum) so every element's result is bit-identical to
-# evaluate_stages() with ARRAY_OPS on that element's slice.
+# stack_plans() lowers a *list* of compiled plans into padded operand
+# tensors of shape (plans, stages, hops, elements); the hop formulas
+# then evaluate over the entire tensor with one numpy expression per
+# formula, and FusedPlans.evaluate() folds hops and stages with the same
+# left-associative order as evaluate_stages() (explicit small loops, not
+# pairwise np.sum), so every element's result is bit-identical to the
+# scalar reference on that element's summary.
 #
 # Padding is engineered to be a bitwise no-op: padded hop slots carry
 # alpha=beta=count=bytes=0 (their cost is exactly +0.0) and
@@ -320,9 +269,10 @@ def stack_plans(machine: MachineSpec, plans: Sequence[HopPlan],
     ``n`` is the element width; inferred from the first array-valued hop
     quantity when omitted (``1`` for all-scalar plans).  Protocol
     selection (Table-2 alpha/beta per individual message size) happens
-    here, once per real hop slot, via the same ``link_arrays`` chain the
-    ARRAY_OPS kernel uses — so the tensors are a pure re-layout, not a
-    re-derivation.
+    here, once per real hop slot, through
+    :meth:`~repro.machine.params.CommParams.link_arrays` and the same
+    :func:`tier_scaled` refinement the scalar :func:`resolve_link`
+    applies — so the tensors are a pure re-layout, not a re-derivation.
     """
     plans = list(plans)
     if not plans:
@@ -361,17 +311,11 @@ def stack_plans(machine: MachineSpec, plans: Sequence[HopPlan],
                     beta[s, t, h] = link.beta
                     count[s, t, h] = 1.0  # MEMCPY = SEQUENTIAL with count 1
                 else:
-                    a, b = machine.comm_params.link_arrays(
-                        hop.kind.transport_kind, hop.locality,
-                        nbytes[s, t, h], pre_posted=hop.pre_posted)
-                    if hop.tier is not None:
-                        tier = machine.locality_hierarchy[hop.tier]
-                        if tier.alpha_scale != 1.0:
-                            a = tier.alpha_scale * a
-                        if tier.beta_scale != 1.0:
-                            b = tier.beta_scale * b
-                    alpha[s, t, h] = a
-                    beta[s, t, h] = b
+                    alpha[s, t, h], beta[s, t, h] = tier_scaled(
+                        machine, hop.tier,
+                        *machine.comm_params.link_arrays(
+                            hop.kind.transport_kind, hop.locality,
+                            nbytes[s, t, h], pre_posted=hop.pre_posted))
                     _fill(count[s, t, h], hop.count)
                     if hop.serialization is Serialization.MAX_RATE:
                         _fill(total_bytes[s, t, h], hop.total_bytes)
@@ -406,7 +350,8 @@ def evaluate_plans_fused(machine: MachineSpec, plans: Sequence[HopPlan],
                          n: Optional[int] = None) -> np.ndarray:
     """Cost all ``plans`` over their shared batch in one fused pass.
 
-    Returns shape ``(len(plans), N)``; row ``s`` is bit-identical to
-    ``evaluate_stages(machine, plans[s].stages, ARRAY_OPS)``.
+    Returns shape ``(len(plans), N)``; element ``i`` of row ``s`` is
+    bit-identical to :func:`cost_plan` on ``plans[s]`` compiled from the
+    batch's ``i``-th scalar summary.
     """
     return stack_plans(machine, plans, n).evaluate()

@@ -16,10 +16,10 @@ The workloads cover the layers the optimisation work targets:
     vectorized analytic-model path.
 ``hop_plan``
     The hop-plan costing kernel: every strategy model's
-    ``time_sweep`` (batched :data:`~repro.paths.kernel.ARRAY_OPS`
-    evaluation) against point-wise scalar ``time`` calls over the same
-    summaries — asserting bit-identity and that the vectorized coster
-    keeps its PR-1 ``time_sweep`` speedup through the IR refactor.
+    ``time_sweep`` (one plan through the fused array coster) against
+    point-wise scalar ``time`` calls over the same summaries —
+    asserting bit-identity and that the array coster stays faster than
+    the scalar loop.
 ``obs_overhead``
     A message-heavy alltoall exchange with the default
     :class:`~repro.obs.tracer.NullTracer` — guards the pay-for-what-
@@ -229,32 +229,31 @@ def _scenario_workload(n_sizes: int,
 
 def _hop_plan_workload(n_sizes: int, machine_name: str = "lassen"
                        ) -> Callable[[], Dict[str, float]]:
-    """Shared costing kernel: batched vs point-wise plan evaluation.
+    """Costing kernel: per-model array sweep vs point-wise evaluation.
 
     Every strategy model evaluates the same Figure-4.3 summaries twice —
-    once through ``time_sweep`` (the hop-plan kernel with
-    :data:`~repro.paths.kernel.ARRAY_OPS`) and once point-wise through
-    scalar ``time`` calls.  The two must agree bit-for-bit, and the
-    batched path must stay faster than the scalar loop: that is the
-    PR 1 ``time_sweep`` win the IR refactor is not allowed to lose.
+    once through ``time_sweep`` (its plan compiled from the stacked
+    batch and costed by the fused array coster) and once point-wise
+    through scalar ``time`` calls.  The two must agree bit-for-bit, and
+    the array path must stay faster than the scalar loop.
     """
 
     def run() -> Dict[str, float]:
         from repro.machine import resolve_machine
+        from repro.models.pattern_summary import PatternSummary
         from repro.models.scenarios import PAPER_SCENARIOS, scenario_summary
         from repro.models.strategies import all_strategy_models, model_label
-        from repro.models.vectorized import SummaryBatch
 
         machine = resolve_machine(machine_name)
         sizes = np.logspace(0, 7, n_sizes)
         summaries = [scenario_summary(machine, sc, float(size))
                      for sc in PAPER_SCENARIOS for size in sizes]
-        batch = SummaryBatch.from_summaries(summaries)
+        batch = PatternSummary.stack(summaries)
         models = all_strategy_models(machine)
 
         t0 = time.perf_counter()
         swept = {model_label(m): m.time_sweep(batch) for m in models}
-        t_vec = time.perf_counter() - t0
+        t_sweep = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         pointwise = {model_label(m): np.array([m.time(s) for s in summaries])
@@ -264,11 +263,11 @@ def _hop_plan_workload(n_sizes: int, machine_name: str = "lassen"
         for label, vec in swept.items():
             if not np.array_equal(vec, pointwise[label]):
                 raise AssertionError(
-                    f"vectorized coster diverged from scalar for {label}")
+                    f"array coster diverged from scalar for {label}")
         evals = len(models) * len(summaries)
         return {
             "evals": evals,
-            "speedup_vectorized": t_scalar / t_vec if t_vec > 0 else 1.0,
+            "speedup_vectorized": t_scalar / t_sweep if t_sweep > 0 else 1.0,
         }
 
     return run

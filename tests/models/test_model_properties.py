@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import lassen
+from repro.machine.presets import PRESETS, resolve_machine
 from repro.models import PatternSummary, all_strategy_models
 from repro.models.strategies import model_label
 
@@ -13,13 +14,17 @@ MODELS = all_strategy_models(M)
 
 
 @st.composite
-def summaries(draw):
+def summaries(draw, allow_empty=False):
+    """A valid summary; ``allow_empty`` also draws zero-byte patterns."""
     n_dest = draw(st.integers(min_value=1, max_value=64))
     mpp = draw(st.integers(min_value=1, max_value=64))
     bpp = draw(st.floats(min_value=8.0, max_value=1e7))
+    if allow_empty and draw(st.booleans()):
+        bpp = 0.0
     node_factor = draw(st.floats(min_value=1.0, max_value=float(n_dest)))
     node_bytes = bpp * node_factor
-    proc_bytes = draw(st.floats(min_value=8.0, max_value=node_bytes))
+    proc_bytes = draw(st.floats(min_value=min(8.0, node_bytes),
+                                max_value=node_bytes))
     proc_msgs = draw(st.integers(min_value=1, max_value=mpp * n_dest))
     active = draw(st.integers(min_value=1, max_value=4))
     return PatternSummary(
@@ -85,3 +90,24 @@ def test_split_counts_cover_volume(summary):
     per_pair = total_msgs / summary.num_dest_nodes
     assert per_pair * msg_size >= summary.bytes_per_node_pair - 1e-9
     assert total_msgs >= summary.num_dest_nodes
+
+
+ALL_PRESET_MODELS = {
+    name: all_strategy_models(resolve_machine(name), include_extended=True)
+    for name in PRESETS
+}
+
+
+@pytest.mark.parametrize("machine_name", sorted(PRESETS))
+@pytest.mark.parametrize("dup_fraction", [0.0, 0.25])
+@settings(max_examples=15, deadline=None)
+@given(batch=st.lists(summaries(allow_empty=True), min_size=1, max_size=8))
+def test_time_sweep_bit_identical_to_scalar_time(machine_name, dup_fraction,
+                                                 batch):
+    """The array coster equals per-element scalar ``time`` bit-for-bit."""
+    for model in ALL_PRESET_MODELS[machine_name]:
+        swept = model.time_sweep(batch, dup_fraction=dup_fraction)
+        expected = [model.time(s, dup_fraction=dup_fraction) for s in batch]
+        assert np.all(np.isfinite(swept)), model_label(model)
+        assert [float.hex(float(t)) for t in swept] == \
+               [float.hex(t) for t in expected], model_label(model)

@@ -1,20 +1,19 @@
-"""Vectorized model path vs. scalar path: bit-exact agreement."""
+"""Array-form summaries and the fused array coster vs. the scalar path."""
 
 import numpy as np
 import pytest
 
 from repro.machine import lassen, summit
+from repro.models.pattern_summary import PatternSummary
 from repro.models.scenarios import (
     PAPER_SCENARIOS,
     Scenario,
     best_strategy,
     best_strategy_sweep,
     scenario_summary,
-    scenario_summary_batch,
     sweep_scenario,
 )
 from repro.models.strategies import all_strategy_models, model_label
-from repro.models.vectorized import SummaryBatch
 
 # spans every protocol regime, both threshold edges, zero and huge sizes
 SIZES = [0.0, 1.0, 512.0, 513.0, 4096.0, 8192.0, 8193.0,
@@ -40,7 +39,7 @@ def test_time_sweep_bit_identical_to_pointwise_time(machine_factory, scenario):
             for s in SIZES
         ]
         got = swept[model_label(model)]
-        # bit-exact, not approx: the vectorized path replicates the
+        # bit-exact, not approx: the fused coster replicates the
         # scalar floating-point operation order
         assert [float.hex(float(t)) for t in got] == \
                [float.hex(t) for t in expected], model_label(model)
@@ -52,15 +51,14 @@ def test_time_sweep_accepts_summary_sequences():
     summaries = [scenario_summary(machine, sc, s) for s in SIZES]
     for model in all_strategy_models(machine):
         from_list = model.time_sweep(summaries)
-        from_batch = model.time_sweep(
-            scenario_summary_batch(machine, sc, SIZES))
+        from_batch = model.time_sweep(scenario_summary(machine, sc, SIZES))
         assert np.array_equal(from_list, from_batch)
 
 
 def test_summary_batch_matches_scalar_summaries():
     machine = lassen()
     for sc in SCENARIOS:
-        batch = scenario_summary_batch(machine, sc, SIZES)
+        batch = scenario_summary(machine, sc, SIZES)
         for i, size in enumerate(SIZES):
             scalar = scenario_summary(machine, sc, size)
             assert batch.num_dest_nodes[i] == scalar.num_dest_nodes
@@ -76,7 +74,7 @@ def test_summary_batch_matches_scalar_summaries():
 
 def test_empty_pattern_sweeps_to_zero():
     machine = lassen()
-    batch = scenario_summary_batch(machine, PAPER_SCENARIOS[0], [0.0, 8.0])
+    batch = scenario_summary(machine, PAPER_SCENARIOS[0], [0.0, 8.0])
     for model in all_strategy_models(machine):
         times = model.time_sweep(batch)
         assert times[0] == 0.0
@@ -97,7 +95,7 @@ def test_best_strategy_sweep_matches_scalar_scan(exclude_best_case):
 
 def test_duplicate_removal_only_shrinks_bytes():
     machine = lassen()
-    batch = scenario_summary_batch(machine, PAPER_SCENARIOS[0], SIZES)
+    batch = scenario_summary(machine, PAPER_SCENARIOS[0], SIZES)
     shrunk = batch.with_duplicate_removal(0.25)
     assert np.array_equal(shrunk.bytes_per_node_pair,
                           batch.bytes_per_node_pair * 0.75)
@@ -108,10 +106,31 @@ def test_duplicate_removal_only_shrinks_bytes():
         batch.with_duplicate_removal(1.0)
 
 
+def test_per_element_duplicate_removal_matches_scalar():
+    machine = lassen()
+    summaries = [scenario_summary(machine, PAPER_SCENARIOS[0], s)
+                 for s in SIZES]
+    dup = np.linspace(0.0, 0.5, len(SIZES))
+    shrunk = PatternSummary.stack(summaries).with_duplicate_removal(dup)
+    expected = PatternSummary.stack(
+        [s.with_duplicate_removal(float(d)) for s, d in zip(summaries, dup)])
+    for name in ("bytes_per_node_pair", "node_bytes", "proc_bytes"):
+        assert np.array_equal(getattr(shrunk, name),
+                              getattr(expected, name)), name
+    with pytest.raises(ValueError, match=r"dup_fraction must be in \[0, 1\)"):
+        PatternSummary.stack(summaries).with_duplicate_removal(
+            np.full(len(SIZES), np.nan))
+
+
 def test_from_summaries_round_trip():
     machine = lassen()
     sc = PAPER_SCENARIOS[1]
     summaries = [scenario_summary(machine, sc, s) for s in (16.0, 4096.0)]
-    batch = SummaryBatch.from_summaries(summaries)
+    batch = PatternSummary.stack(summaries)
+    assert batch.width == 2
     assert batch.node_bytes.tolist() == [s.node_bytes for s in summaries]
     assert batch.active_gpus.tolist() == [s.active_gpus for s in summaries]
+    assert PatternSummary.stack([batch]) is batch
+    joined = PatternSummary.stack([batch, summaries[0]])
+    assert joined.node_bytes.tolist() == \
+        batch.node_bytes.tolist() + [summaries[0].node_bytes]

@@ -1,11 +1,12 @@
-"""Fused multi-plan evaluation: one kernel call == per-plan ARRAY_OPS.
+"""Fused multi-plan evaluation: one kernel call == per-element scalar cost.
 
 :func:`repro.paths.evaluate_plans_fused` stacks every compiled plan's
 stages into padded operand tensors and costs the whole strategy x
 element grid in one numpy pass.  These tests pin the contract the sweep
-layer relies on: row ``s`` of the fused result is *bit-identical* to
-evaluating ``plans[s]`` alone with the ARRAY_OPS kernel — across
-machines, strategies, batch widths and duplicate-removal fractions.
+layer relies on: element ``i`` of row ``s`` of the fused result is
+*bit-identical* to the scalar reference :func:`repro.paths.cost_plan` on
+the plan compiled from the batch's ``i``-th summary — across machines,
+strategies, batch widths and duplicate-removal fractions.
 """
 
 import numpy as np
@@ -18,40 +19,42 @@ from repro.models.scenarios import (
     fused_scenario_times,
     scenario_summary,
 )
+from repro.models.pattern_summary import PatternSummary
 from repro.models.strategies import all_strategy_models, model_label
-from repro.models.vectorized import SummaryBatch
-from repro.paths import (
-    ARRAY_OPS,
-    SCALAR_OPS,
-    cost_plan,
-    evaluate_plans_fused,
-    evaluate_stages,
-    stack_plans,
-)
+from repro.paths import cost_plan, evaluate_plans_fused, stack_plans
 
 MACHINES = ["lassen", "summit", "frontier_like"]
 SIZES = np.logspace(0, 7, 12)
 
 
+def _summaries(machine):
+    return [scenario_summary(machine, sc, float(size))
+            for sc in PAPER_SCENARIOS for size in SIZES]
+
+
 def _batch(machine):
-    summaries = [scenario_summary(machine, sc, float(size))
-                 for sc in PAPER_SCENARIOS for size in SIZES]
-    return SummaryBatch.from_summaries(summaries)
+    return PatternSummary.stack(_summaries(machine))
 
 
 @pytest.mark.parametrize("machine_name", MACHINES)
 @pytest.mark.parametrize("dup_fraction", [0.0, 0.25])
 def test_fused_rows_bit_identical_to_array_ops(machine_name, dup_fraction):
+    """Plans compiled with the ARRAY_OPS algebra cost, element by
+    element, exactly what the scalar reference charges each summary."""
     machine = resolve_machine(machine_name)
-    batch = _batch(machine)
+    summaries = _summaries(machine)
+    batch = PatternSummary.stack(summaries)
     models = all_strategy_models(machine)
     plans = [m.compile_plan_batch(batch, dup_fraction=dup_fraction)
              for m in models]
-    fused = evaluate_plans_fused(machine, plans, n=batch.node_bytes.size)
-    assert fused.shape == (len(plans), batch.node_bytes.size)
-    for s, (model, plan) in enumerate(zip(models, plans)):
-        reference = evaluate_stages(machine, plan.stages, ARRAY_OPS)
-        assert np.array_equal(fused[s], reference), \
+    fused = evaluate_plans_fused(machine, plans, n=batch.width)
+    assert fused.shape == (len(plans), batch.width)
+    for s, model in enumerate(models):
+        reference = [
+            float.hex(cost_plan(machine, model.compile_plan(
+                summary, dup_fraction=dup_fraction)))
+            for summary in summaries]
+        assert [float.hex(float(t)) for t in fused[s]] == reference, \
             (model_label(model), machine_name)
 
 
@@ -65,7 +68,7 @@ def test_fused_scalar_plans_match_cost_plan(machine_name):
     fused = evaluate_plans_fused(machine, plans)
     assert fused.shape == (len(plans), 1)
     for s, (model, plan) in enumerate(zip(models, plans)):
-        assert float(fused[s, 0]) == cost_plan(machine, plan, SCALAR_OPS), \
+        assert float(fused[s, 0]) == cost_plan(machine, plan), \
             model_label(model)
         assert float(fused[s, 0]) == model.time(summary), model_label(model)
 
@@ -84,11 +87,11 @@ def test_stacked_tensors_are_padded_uniformly():
     batch = _batch(machine)
     models = all_strategy_models(machine)
     plans = [m.compile_plan_batch(batch) for m in models]
-    fp = stack_plans(machine, plans, n=batch.node_bytes.size)
+    fp = stack_plans(machine, plans, n=batch.width)
     assert fp.labels == tuple(p.strategy for p in plans)
     n_stages = max(len(p.stages) for p in plans)
     n_hops = max(len(st.hops) for p in plans for st in p.stages)
-    expected = (len(plans), n_stages, n_hops, batch.node_bytes.size)
+    expected = (len(plans), n_stages, n_hops, batch.width)
     for field in (fp.alpha, fp.beta, fp.count, fp.nbytes,
                   fp.total_bytes, fp.node_bytes, fp.enabled):
         assert field.shape == expected
@@ -129,6 +132,6 @@ def test_fused_slice_equivariance():
     batch = _batch(machine)
     plans = [m.compile_plan_batch(batch)
              for m in all_strategy_models(machine)]
-    full = evaluate_plans_fused(machine, plans, n=batch.node_bytes.size)
-    half = evaluate_plans_fused(machine, plans[:3], n=batch.node_bytes.size)
+    full = evaluate_plans_fused(machine, plans, n=batch.width)
+    half = evaluate_plans_fused(machine, plans[:3], n=batch.width)
     assert np.array_equal(full[:3], half)

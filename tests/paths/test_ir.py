@@ -5,7 +5,6 @@ import pytest
 from repro.machine import resolve_machine
 from repro.machine.locality import Locality
 from repro.paths import (
-    SCALAR_OPS,
     CheckMode,
     Hop,
     HopKind,
@@ -84,7 +83,7 @@ class TestHopPlan:
         )
         plan = HopPlan(strategy="t", data_path="staged", stages=stages)
         total = cost_plan(machine, plan)
-        assert total == evaluate_stages(machine, stages, SCALAR_OPS)
+        assert total == evaluate_stages(machine, stages)
         assert total > 0.0
 
     def test_serialization_modes_exist(self):

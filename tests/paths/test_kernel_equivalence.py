@@ -1,4 +1,4 @@
-"""One plan, three evaluations: scalar == vectorized == plan cost.
+"""One plan, three evaluations: scalar == fused array coster == plan cost.
 
 Every strategy model compiles to the same :class:`repro.paths.HopPlan`
 whether costed point-wise (``time``), batched (``time_sweep``) or
@@ -11,9 +11,9 @@ import pytest
 
 from repro.machine import resolve_machine
 from repro.models.scenarios import PAPER_SCENARIOS, scenario_summary
+from repro.models.pattern_summary import PatternSummary
 from repro.models.strategies import all_strategy_models, model_label
-from repro.models.vectorized import SummaryBatch
-from repro.paths import SCALAR_OPS, cost_plan
+from repro.paths import cost_plan
 
 MACHINES = ["lassen", "summit", "frontier_like"]
 SIZES = np.logspace(0, 7, 15)
@@ -28,7 +28,7 @@ def _summaries(machine):
 def test_scalar_coster_equals_vectorized_coster(machine_name):
     machine = resolve_machine(machine_name)
     summaries = _summaries(machine)
-    batch = SummaryBatch.from_summaries(summaries)
+    batch = PatternSummary.stack(summaries)
     for model in all_strategy_models(machine):
         vec = model.time_sweep(batch)
         pointwise = np.array([model.time(s) for s in summaries])
@@ -46,7 +46,7 @@ def test_scalar_coster_equals_vectorized_coster(machine_name):
 def test_scalar_coster_equals_vectorized_with_dup_removal(machine_name):
     machine = resolve_machine(machine_name)
     summaries = _summaries(machine)
-    batch = SummaryBatch.from_summaries(summaries)
+    batch = PatternSummary.stack(summaries)
     for model in all_strategy_models(machine):
         vec = model.time_sweep(batch, dup_fraction=0.25)
         pointwise = np.array([model.time(s, dup_fraction=0.25)
@@ -63,7 +63,7 @@ def test_compiled_plan_cost_equals_model_time(machine_name):
             plan = model.compile_plan(summary)
             assert plan.strategy == model.name
             assert plan.data_path == model.data_path
-            assert cost_plan(machine, plan, SCALAR_OPS) == model.time(summary)
+            assert cost_plan(machine, plan) == model.time(summary)
 
 
 def test_plans_are_machine_sensitive():

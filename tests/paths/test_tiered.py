@@ -21,11 +21,10 @@ from repro.models.strategies import all_strategy_models, model_label
 from repro.paths.ir import Hop, HopKind, HopStage, Serialization, StageKind
 from repro.paths.compile import as_setup, off_node_stage
 from repro.paths.kernel import (
-    ARRAY_OPS,
-    SCALAR_OPS,
     cpu_injection_rate,
     resolve_link,
     stage_cost,
+    tier_scaled,
 )
 
 GOLDEN = json.loads(
@@ -73,30 +72,29 @@ class TestTierScaling:
     def test_group_tier_scales_alpha_only(self):
         m = frontier_like()
         group = m.locality_hierarchy.deepest_network_tier()
-        flat = resolve_link(m, _off_node_hop(20000.0), SCALAR_OPS)
-        tiered = resolve_link(m, _off_node_hop(20000.0, tier=group),
-                              SCALAR_OPS)
+        flat = resolve_link(m, _off_node_hop(20000.0))
+        tiered = resolve_link(m, _off_node_hop(20000.0, tier=group))
         assert tiered[0] == 0.5 * flat[0]
         assert tiered[1] == flat[1]
 
     def test_global_tier_is_bit_identical_to_flat(self):
         m = frontier_like()
         glob = m.locality_hierarchy.tier_of(Locality.OFF_NODE)
-        flat = resolve_link(m, _off_node_hop(300.0), SCALAR_OPS)
-        tiered = resolve_link(m, _off_node_hop(300.0, tier=glob), SCALAR_OPS)
+        flat = resolve_link(m, _off_node_hop(300.0))
+        tiered = resolve_link(m, _off_node_hop(300.0, tier=glob))
         assert tiered == flat
 
     def test_scalar_and_array_links_agree_on_tiers(self):
         m = frontier_like()
         group = m.locality_hierarchy.deepest_network_tier()
         sizes = np.array([64.0, 4096.0, 20000.0, 1.0e6])
-        alpha_a, beta_a = ARRAY_OPS.link(m, TransportKind.CPU,
-                                         Locality.OFF_NODE, sizes, False)
+        flat_a, flat_b = m.comm_params.link_arrays(
+            TransportKind.CPU, Locality.OFF_NODE, sizes)
+        alpha_a, beta_a = tier_scaled(m, group, flat_a, flat_b)
         for i, nbytes in enumerate(sizes):
-            a, b = resolve_link(m, _off_node_hop(float(nbytes), tier=group),
-                                SCALAR_OPS)
-            assert a == 0.5 * alpha_a[i]
-            assert b == beta_a[i]
+            a, b = resolve_link(m, _off_node_hop(float(nbytes), tier=group))
+            assert a == alpha_a[i] == 0.5 * flat_a[i]
+            assert b == beta_a[i] == flat_b[i]
 
 
 class TestNicSerialization:
@@ -138,17 +136,15 @@ class TestPersistentChannels:
         nbytes = 20000.0  # above the 8192 B rendezvous threshold
         _, link = m.comm_params.persistent_link(TransportKind.CPU,
                                                 Locality.OFF_NODE, nbytes)
-        got = resolve_link(m, _off_node_hop(nbytes, pre_posted=True),
-                           SCALAR_OPS)
+        got = resolve_link(m, _off_node_hop(nbytes, pre_posted=True))
         assert got == (link.alpha, link.beta)
-        flat = resolve_link(m, _off_node_hop(nbytes), SCALAR_OPS)
+        flat = resolve_link(m, _off_node_hop(nbytes))
         assert got[0] < flat[0] and got[1] == flat[1]
 
     def test_pre_posted_below_threshold_is_a_noop(self):
         m = lassen()
-        assert resolve_link(m, _off_node_hop(512.0, pre_posted=True),
-                            SCALAR_OPS) == \
-            resolve_link(m, _off_node_hop(512.0), SCALAR_OPS)
+        assert resolve_link(m, _off_node_hop(512.0, pre_posted=True)) == \
+            resolve_link(m, _off_node_hop(512.0))
 
 
 class TestSetupAmortization:
@@ -158,8 +154,7 @@ class TestSetupAmortization:
         setup = as_setup(stage, 64.0)
         assert setup.kind is StageKind.SETUP
         assert setup.phases == ()
-        assert stage_cost(m, setup, SCALAR_OPS) == \
-            stage_cost(m, stage, SCALAR_OPS) / 64.0
+        assert stage_cost(m, setup) == stage_cost(m, stage) / 64.0
 
     def test_setup_stage_rejects_phases(self):
         with pytest.raises(ValueError, match="SETUP"):
