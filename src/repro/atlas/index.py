@@ -10,7 +10,8 @@ runner-up.  The kernel is never touched unless the query demands it:
 * **on-grid queries** (every axis hits a lattice value exactly) are
   served straight from the stored tensor — those values *are* the fused
   kernel's outputs, so the winner matches exact evaluation bit-for-bit
-  and no fallback can trigger;
+  and no fallback can trigger; every cell's winner and margin are
+  computed once, when the index is built;
 * **interpolated queries** whose margin falls below the index's
   ``margin_band`` sit close to a crossover frontier, where interpolation
   may pick the wrong side — they fall back to exact fused evaluation;
@@ -110,6 +111,9 @@ class AtlasIndex:
             (list(spec.sizes), [math.log(v) for v in spec.sizes], True),
         ]
         self._times = atlas.times
+        # every grid cell's winner and margin, so on-grid hits skip the
+        # per-query argmin/partition (same values as :meth:`_answer`)
+        self._winner_idx, self._margins = self._grid_answers(atlas.times)
         self._lookups = self.metrics.counter("atlas.lookups")
         self._hits = self.metrics.counter("atlas.hits")
         self._fb_margin = self.metrics.counter("atlas.fallbacks.margin")
@@ -138,6 +142,18 @@ class AtlasIndex:
         _labels, times = fused_scenario_times(
             self._machine, [scenario], [float(msg_size)], self._models)
         return times[:, 0, 0]
+
+    @staticmethod
+    def _grid_answers(times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_answer`'s winner index and margin for every cell."""
+        winner_idx = np.argmin(times, axis=0)
+        if times.shape[0] < 2:
+            return winner_idx, np.full(winner_idx.shape, float("inf"))
+        best = np.take_along_axis(times, winner_idx[None], axis=0)[0]
+        runner_up = np.partition(times, 1, axis=0)[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            margins = np.where(best > 0.0, (runner_up - best) / best, 0.0)
+        return winner_idx, margins
 
     @staticmethod
     def _answer(times: np.ndarray, labels: List[str], source: str,
@@ -178,10 +194,14 @@ class AtlasIndex:
                        if frac != 0.0]
         if not interp_axes:
             # On-grid: the stored values are the kernel's own outputs.
-            i, j, k, l = (i for i, _f in located)  # noqa: E741
-            times = self._times[:, i, j, k, l]
+            cell = tuple(i for i, _f in located)
+            winner_idx = int(self._winner_idx[cell])
             self._hits.inc()
-            return self._answer(times, self.atlas.labels, "atlas", False)
+            return AtlasLookup(winner=self.atlas.labels[winner_idx],
+                               winner_idx=winner_idx,
+                               margin=float(self._margins[cell]),
+                               times=self._times[(slice(None),) + cell],
+                               source="atlas", interpolated=False)
         # Multilinear interpolation over the bracketing corners, in
         # log(time) so the blend matches the axes' log-space geometry.
         log_times = np.zeros(self._times.shape[0])

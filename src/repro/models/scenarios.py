@@ -114,23 +114,34 @@ def fused_scenario_times(machine: MachineSpec,
     ``c * len(sizes) + z`` is scenario ``c`` at size ``z``); each model
     compiles *once* against it, node-aware models after per-element
     duplicate removal, and the stacked plans evaluate through
-    :func:`~repro.paths.kernel.evaluate_plans_fused`.  Every cell is
-    bit-identical to the scalar ``model.time(summary, dup_fraction)``.
+    :func:`~repro.paths.kernel.evaluate_plans_fused`.  A single cell
+    (one scenario, one size: a point query) compiles each model against
+    the scalar summary instead.  Every cell is bit-identical to the
+    scalar ``model.time(summary, dup_fraction)``.
     """
     sizes = np.asarray(sizes, dtype=np.float64)
     if models is None:
         models = all_strategy_models(machine,
                                      include_extended=include_extended)
-    joint = PatternSummary.stack(
-        [scenario_summary(machine, sc, sizes) for sc in scenarios])
-    dup = np.repeat([sc.dup_fraction for sc in scenarios], sizes.size)
+    one_cell = len(scenarios) == 1 and sizes.size == 1
+    if one_cell:
+        # a point query: the scalar summary compiles with the scalar
+        # algebra, whose plans stack without per-hop width-1 arrays
+        joint = scenario_summary(machine, scenarios[0], float(sizes[0]))
+        dup = scenarios[0].dup_fraction
+    else:
+        joint = PatternSummary.stack(
+            [scenario_summary(machine, sc, sizes) for sc in scenarios])
+        dup = np.repeat([sc.dup_fraction for sc in scenarios], sizes.size)
     dedup = joint
     if np.any(dup) and any(m.node_aware for m in models):
         dedup = joint.with_duplicate_removal(dup)
-    plans = [m.compile_plan_batch(dedup if m.node_aware else joint)
-             for m in models]
+    plans = []
+    for m in models:
+        compile_plan = m.compile_plan if one_cell else m.compile_plan_batch
+        plans.append(compile_plan(dedup if m.node_aware else joint))
     times = evaluate_plans_fused(machine, plans, n=joint.width)
-    times = np.where(joint.is_empty[None, :], 0.0, times)
+    times = np.where(joint.is_empty, 0.0, times)
     labels = [model_label(m) for m in models]
     return labels, times.reshape(len(models), len(scenarios), sizes.size)
 

@@ -9,9 +9,16 @@ the machine's Table-2/3/4 constants.  There are exactly two costers:
   one scalar :class:`~repro.models.pattern_summary.PatternSummary`
   (``StrategyModel.time``, validation, the selector, crossovers);
 * the **fused array coster** — :func:`stack_plans` lowers any number of
-  plans compiled from an array-form summary into padded tensors, and
-  :meth:`FusedPlans.evaluate` costs every (plan, element) cell at once
-  (``StrategyModel.time_sweep``, the scenario sweeps, the atlas).
+  compiled plans into padded tensors, and :meth:`FusedPlans.evaluate`
+  costs every (plan, element) cell at once (``StrategyModel.time_sweep``,
+  the scenario sweeps, the atlas, and ``best_strategy`` point queries).
+  Plans compiled from an array-form summary stack at the batch width;
+  plans compiled from a scalar summary (one-cell queries) stack at
+  width 1.  What the machine and the plans' hop structure fix — copy
+  constants, stage repeats, max-rate masks, NIC rates and each send
+  hop's tier-scaled protocol row — is a layout cached per (machine,
+  plan structure), so a call only gathers hop counts, sizes and
+  ``enabled`` flags and selects every send hop's protocol at once.
 
 Bit-exactness contract: stage sums start from the first hop's cost,
 stages accumulate left-associatively, and a ``repeat`` factor
@@ -23,8 +30,9 @@ scalar reference; the goldens in ``tests/test_equivalence.py`` pin both.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -262,88 +270,276 @@ def _fill(out: np.ndarray, value: Any) -> None:
     out[...] = arr
 
 
+def _rows(values: Sequence[Any], n: int) -> np.ndarray:
+    """Per-hop quantities (scalars or ``(n,)`` arrays) as float rows.
+
+    All-scalar lists become one ``(len, 1)`` column that broadcasts
+    over the width; all-array lists one ``(len, n)`` block.  Mixed or
+    misshapen lists fill row by row through :func:`_fill`, which names
+    the offending shape.
+    """
+    try:
+        block = np.array(values, dtype=float)
+    except ValueError:  # scalars mixed with arrays
+        block = None
+    if block is not None:
+        if block.ndim == 1:
+            return block[:, None]
+        if block.ndim == 2 and block.shape[1] == n:
+            return block
+    out = np.empty((len(values), n))
+    for row, value in zip(out, values):
+        _fill(row, value)
+    return out
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a layout array read-only: every stacked tensor shares it."""
+    arr.flags.writeable = False
+    return arr
+
+
+class _StackLayout:
+    """The half of a :class:`FusedPlans` that summary data cannot change.
+
+    Built once per (machine, plan structure) by :func:`stack_plans`:
+    the padded shape, each hop's flat slot, the MEMCPY alpha/beta, the
+    stage ``repeat`` and ``amortize`` divisors, the MAX_RATE masks and
+    per-hop NIC rates, and one tier-scaled protocol row per send hop —
+    the inclusive size limits and per-protocol alphas/betas that
+    ``CommParams._link_rows`` holds for the hop's (kind, locality,
+    pre_posted), scaled by :func:`tier_scaled`.  Hops are numbered in
+    walk order (plan, stage, hop).
+    """
+
+    def __init__(self, machine: MachineSpec,
+                 plans: Sequence[HopPlan]) -> None:
+        n_stages = max(max(len(p.stages) for p in plans), 1)
+        n_hops = max(max((len(st.hops) for p in plans for st in p.stages),
+                         default=1), 1)
+        shape = (len(plans), n_stages, n_hops)
+        size = shape[0] * n_stages * n_hops
+        nic = machine.nic
+        rate_node = nic.injection_rate * nic.nics_per_node
+        slots, sends, max_rate, cpu_max_rate = [], [], [], []
+        copies, copy_links, rows, cpu_rates, gpu_slots = [], [], [], [], []
+        repeat = np.ones(shape[:2] + (1,))
+        amortize = np.ones(shape[:2] + (1,))
+        for s, plan in enumerate(plans):
+            for t, stage in enumerate(plan.stages):
+                repeat[s, t, 0] = stage.repeat
+                amortize[s, t, 0] = stage.amortize_over
+                for h, hop in enumerate(stage.hops):
+                    slot = (s * n_stages + t) * n_hops + h
+                    position = len(slots)
+                    slots.append(slot)
+                    if hop.kind is HopKind.MEMCPY:
+                        copies.append(slot)
+                        copy_links.append((hop.direction, hop.nproc))
+                        continue
+                    sends.append(position)
+                    rows.append((hop.kind.transport_kind, hop.locality,
+                                 hop.pre_posted, hop.tier))
+                    if hop.serialization is Serialization.MAX_RATE:
+                        max_rate.append(position)
+                        if hop.kind is HopKind.CPU_SEND:
+                            cpu_max_rate.append(position)
+                            cpu_rates.append(cpu_injection_rate(machine, hop))
+                        else:
+                            gpu_slots.append(slot)
+        self.shape = shape
+        self.size = size
+        self.slots = np.array(slots, dtype=np.intp)
+        self.sends = sends
+        self.send_slots = self.slots[sends]
+        self.max_rate = max_rate
+        self.max_rate_slots = self.slots[max_rate]
+        self.cpu_max_rate = cpu_max_rate
+        self.cpu_max_rate_slots = self.slots[cpu_max_rate]
+        self.copy_slots = np.array(copies, dtype=np.intp)
+        links = {key: machine.copy_params.link(*key)
+                 for key in set(copy_links)}
+        self.copy_alpha = np.array([links[key].alpha for key in copy_links]
+                                   ).reshape(-1, 1)
+        self.copy_beta = np.array([links[key].beta for key in copy_links]
+                                  ).reshape(-1, 1)
+        self._protocol_rows(machine, rows)
+        is_cpu_mr = np.zeros(size, dtype=bool)
+        is_cpu_mr[self.cpu_max_rate_slots] = True
+        is_gpu_mr = np.zeros(size, dtype=bool)
+        is_gpu_mr[gpu_slots] = True
+        self.is_cpu_max_rate = _frozen(is_cpu_mr.reshape(shape + (1,)))
+        self.is_gpu_max_rate = _frozen(is_gpu_mr.reshape(shape + (1,)))
+        self.repeat = _frozen(repeat)
+        self.amortize = (_frozen(amortize) if np.any(amortize != 1.0)
+                         else None)
+        self.cpu_rate = None
+        if any(rate != rate_node for rate in cpu_rates):
+            cpu_rate = np.full(size, rate_node)
+            cpu_rate[self.cpu_max_rate_slots] = cpu_rates
+            self.cpu_rate = _frozen(cpu_rate.reshape(shape + (1,)))
+        self.constants = dict(
+            cpu_rate_node=rate_node,
+            gpu_rate=nic.gpu_injection_rate,
+            gpu_rate_denom=nic.gpu_injection_rate * nic.nics_per_node,
+            gpus_per_node=max(machine.gpus_per_node, 1))
+
+    def _protocol_rows(self, machine: MachineSpec, rows: list) -> None:
+        """One tier-scaled Table-2 row per send hop, keyed
+        ``(kind, locality, pre_posted, tier)``.
+
+        Rows pad to the longest protocol chain: an ``inf`` limit is
+        never exceeded by a number, and NaN (past every limit) takes
+        the repeated last protocol, as ``searchsorted`` would.  The
+        alphas and betas are flat, send hop k's row starting at
+        ``k * width``; ``limits`` holds one column per protocol
+        boundary.
+        """
+        table = machine.comm_params._link_rows
+        width = max(a.size for _l, a, _b in table.values())
+        padded = {}
+        for key in set(rows):
+            limits, alphas, betas = table[key[:3]]
+            alphas, betas = tier_scaled(machine, key[3], alphas, betas)
+            pad = width - alphas.size
+            padded[key] = (limits.tolist() + [np.inf] * pad,
+                           alphas.tolist() + [alphas[-1]] * pad,
+                           betas.tolist() + [betas[-1]] * pad)
+        limits = np.array([padded[key][0] for key in rows]
+                          ).reshape(len(rows), width - 1)
+        self.limits = [limits[:, j:j + 1] for j in range(width - 1)]
+        self.row_offsets = np.arange(0, len(rows) * width, width,
+                                     dtype=np.intp)[:, None]
+        self.alphas = np.array([padded[key][1] for key in rows]).reshape(-1)
+        self.betas = np.array([padded[key][2] for key in rows]).reshape(-1)
+
+    def _links(self, nbytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-slot alpha and beta: copy constants, and for every send
+        hop the Table-2 entry of its protocol at its message size."""
+        sizes = nbytes[self.send_slots]
+        if (sizes < 0).any():
+            raise ValueError("message sizes must be >= 0")
+        # one lookup for every send hop: a size's protocol is the
+        # number of limits it exceeds (``searchsorted(side="left")``),
+        # offset to its hop's row of the flat alpha/beta tables
+        index = self.row_offsets + np.zeros(sizes.shape, dtype=np.intp)
+        for limit in self.limits:
+            index += ~(sizes <= limit)
+        alpha = np.zeros(nbytes.shape)
+        beta = np.zeros(nbytes.shape)
+        alpha[self.copy_slots] = self.copy_alpha
+        beta[self.copy_slots] = self.copy_beta
+        alpha[self.send_slots] = self.alphas.take(index)
+        beta[self.send_slots] = self.betas.take(index)
+        return alpha, beta
+
+    def stack(self, labels: Tuple[str, ...], hops: Sequence[Hop],
+              n: int) -> FusedPlans:
+        """Lay ``hops`` (walk order, this structure) out over width ``n``."""
+        size = self.size
+        shape = self.shape + (n,)
+        nbytes = np.zeros((size, n))
+        nbytes[self.slots] = _rows([hop.nbytes for hop in hops], n)
+        alpha, beta = self._links(nbytes)
+        count = np.zeros((size, n))
+        count[self.copy_slots] = 1.0  # MEMCPY = SEQUENTIAL with count 1
+        count[self.send_slots] = _rows([hops[i].count for i in self.sends],
+                                       n)
+        total_bytes = np.zeros((size, n))
+        total_bytes[self.max_rate_slots] = _rows(
+            [hops[i].total_bytes for i in self.max_rate], n)
+        node_bytes = np.zeros((size, n))
+        node_bytes[self.cpu_max_rate_slots] = _rows(
+            [hops[i].node_bytes for i in self.cpu_max_rate], n)
+        enabled = np.zeros((size, n), dtype=bool)
+        enabled[self.slots] = True
+        for position, hop in enumerate(hops):
+            if hop.enabled is not True:
+                enabled[self.slots[position]] = np.asarray(hop.enabled,
+                                                           dtype=bool)
+        return FusedPlans(
+            labels=labels,
+            alpha=alpha.reshape(shape), beta=beta.reshape(shape),
+            count=count.reshape(shape), nbytes=nbytes.reshape(shape),
+            total_bytes=total_bytes.reshape(shape),
+            node_bytes=node_bytes.reshape(shape),
+            enabled=enabled.reshape(shape),
+            is_cpu_max_rate=self.is_cpu_max_rate,
+            is_gpu_max_rate=self.is_gpu_max_rate, repeat=self.repeat,
+            cpu_rate=self.cpu_rate, amortize=self.amortize,
+            **self.constants)
+
+
+#: stacking layouts per live machine: ``id(machine)`` -> (weak
+#: reference, {plan structure: layout}); an entry dies with its machine
+_LAYOUTS: Dict[int, Tuple[Any, Dict[tuple, _StackLayout]]] = {}
+
+#: distinct plan structures kept per machine before the cache restarts
+_MAX_LAYOUTS = 64
+
+
+def _machine_layouts(machine: MachineSpec) -> Dict[tuple, _StackLayout]:
+    key = id(machine)
+    entry = _LAYOUTS.get(key)
+    if entry is None or entry[0]() is not machine:
+        ref = weakref.ref(machine, lambda _ref: _LAYOUTS.pop(key, None))
+        entry = _LAYOUTS[key] = (ref, {})
+    return entry[1]
+
+
+def _structure(plans: Sequence[HopPlan]) -> Tuple[tuple, list]:
+    """The plans' layout key and their hops in walk order.
+
+    The key holds everything :class:`_StackLayout` reads from the
+    plans — stage and hop counts, ``repeat``/``amortize_over`` and each
+    hop's kind, serialization, locality, copy row, tier, NIC ports and
+    channel persistence — so two plan lists share a layout exactly when
+    they lower identically.
+    """
+    key, hops = [], []
+    for plan in plans:
+        key.append(len(plan.stages))
+        for stage in plan.stages:
+            key.append((len(stage.hops), stage.repeat, stage.amortize_over))
+            for hop in stage.hops:
+                hops.append(hop)
+                # enum members are singletons: their ids key them
+                # without a Python-level ``Enum.__hash__`` per field
+                key.append((id(hop.kind), id(hop.serialization),
+                            id(hop.locality), id(hop.direction), hop.nproc,
+                            hop.tier, hop.nics_used, hop.pre_posted))
+    return tuple(key), hops
+
+
 def stack_plans(machine: MachineSpec, plans: Sequence[HopPlan],
                 n: Optional[int] = None) -> FusedPlans:
     """Lower compiled plans into padded :class:`FusedPlans` tensors.
 
     ``n`` is the element width; inferred from the first array-valued hop
-    quantity when omitted (``1`` for all-scalar plans).  Protocol
-    selection (Table-2 alpha/beta per individual message size) happens
-    here, once per real hop slot, through
-    :meth:`~repro.machine.params.CommParams.link_arrays` and the same
-    :func:`tier_scaled` refinement the scalar :func:`resolve_link`
-    applies — so the tensors are a pure re-layout, not a re-derivation.
+    quantity when omitted (``1`` for all-scalar plans).  Everything the
+    machine and the plans' hop structure fix — MEMCPY constants, stage
+    repeats, MAX_RATE masks, NIC rates and one tier-scaled Table-2
+    protocol row per send hop (the rows behind
+    :meth:`~repro.machine.params.CommParams.link_arrays`, scaled by
+    :func:`tier_scaled`) — comes from a layout cached per (machine,
+    structure).  A call only gathers the hops' counts, sizes and
+    ``enabled`` values and picks every send hop's protocol in one
+    vectorized lookup, so the tensors are a pure re-layout of what the
+    scalar :func:`resolve_link` selects.
     """
     plans = list(plans)
     if not plans:
         raise ValueError("stack_plans requires at least one plan")
     if n is None:
         n = _plan_width(plans)
-    n_stages = max(len(p.stages) for p in plans)
-    n_hops = max((len(st.hops) for p in plans for st in p.stages), default=1)
-    shape = (len(plans), max(n_stages, 1), max(n_hops, 1), n)
-    nic = machine.nic
-    rate_node = nic.injection_rate * nic.nics_per_node
-    alpha = np.zeros(shape)
-    beta = np.zeros(shape)
-    count = np.zeros(shape)
-    nbytes = np.zeros(shape)
-    total_bytes = np.zeros(shape)
-    node_bytes = np.zeros(shape)
-    enabled = np.zeros(shape, dtype=bool)
-    is_cpu_mr = np.zeros(shape[:3] + (1,), dtype=bool)
-    is_gpu_mr = np.zeros(shape[:3] + (1,), dtype=bool)
-    repeat = np.ones(shape[:2] + (1,))
-    cpu_rate: Optional[np.ndarray] = None
-    amortize: Optional[np.ndarray] = None
-    for s, plan in enumerate(plans):
-        for t, stage in enumerate(plan.stages):
-            repeat[s, t, 0] = stage.repeat
-            if stage.amortize_over != 1.0:
-                if amortize is None:
-                    amortize = np.ones(shape[:2] + (1,))
-                amortize[s, t, 0] = stage.amortize_over
-            for h, hop in enumerate(stage.hops):
-                _fill(nbytes[s, t, h], hop.nbytes)
-                if hop.kind is HopKind.MEMCPY:
-                    link = machine.copy_params.link(hop.direction, hop.nproc)
-                    alpha[s, t, h] = link.alpha
-                    beta[s, t, h] = link.beta
-                    count[s, t, h] = 1.0  # MEMCPY = SEQUENTIAL with count 1
-                else:
-                    alpha[s, t, h], beta[s, t, h] = tier_scaled(
-                        machine, hop.tier,
-                        *machine.comm_params.link_arrays(
-                            hop.kind.transport_kind, hop.locality,
-                            nbytes[s, t, h], pre_posted=hop.pre_posted))
-                    _fill(count[s, t, h], hop.count)
-                    if hop.serialization is Serialization.MAX_RATE:
-                        _fill(total_bytes[s, t, h], hop.total_bytes)
-                        if hop.kind is HopKind.CPU_SEND:
-                            _fill(node_bytes[s, t, h], hop.node_bytes)
-                            is_cpu_mr[s, t, h, 0] = True
-                            rate = cpu_injection_rate(machine, hop)
-                            if rate != rate_node and cpu_rate is None:
-                                cpu_rate = np.full(shape[:3] + (1,),
-                                                   rate_node)
-                            if cpu_rate is not None:
-                                cpu_rate[s, t, h, 0] = rate
-                        else:
-                            is_gpu_mr[s, t, h, 0] = True
-                enabled[s, t, h] = (True if hop.enabled is True
-                                    else np.asarray(hop.enabled, dtype=bool))
-    return FusedPlans(
-        labels=tuple(p.strategy for p in plans),
-        alpha=alpha, beta=beta, count=count, nbytes=nbytes,
-        total_bytes=total_bytes, node_bytes=node_bytes,
-        enabled=enabled, is_cpu_max_rate=is_cpu_mr,
-        is_gpu_max_rate=is_gpu_mr, repeat=repeat,
-        cpu_rate_node=rate_node,
-        gpu_rate=nic.gpu_injection_rate,
-        gpu_rate_denom=nic.gpu_injection_rate * nic.nics_per_node,
-        gpus_per_node=max(machine.gpus_per_node, 1),
-        cpu_rate=cpu_rate, amortize=amortize,
-    )
+    key, hops = _structure(plans)
+    layouts = _machine_layouts(machine)
+    layout = layouts.get(key)
+    if layout is None:
+        if len(layouts) >= _MAX_LAYOUTS:
+            layouts.clear()
+        layout = layouts[key] = _StackLayout(machine, plans)
+    return layout.stack(tuple(p.strategy for p in plans), hops, n)
 
 
 def evaluate_plans_fused(machine: MachineSpec, plans: Sequence[HopPlan],

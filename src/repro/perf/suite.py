@@ -477,8 +477,11 @@ def _atlas_query_workload(smoke: bool, rounds: int,
     The atlas arm answers every grid point ``rounds`` times through
     :meth:`~repro.atlas.index.AtlasIndex.lookup`; the exact arm answers
     each point once through :func:`~repro.models.scenarios.
-    best_strategy` (which rebuilds the model registry and runs the
-    fused kernel per query — the cost the atlas amortizes away).  The
+    best_strategy` (which builds the model registry, compiles every
+    model against the point's scalar summary and costs the plans
+    through the fused kernel at width 1 — the cost the atlas amortizes
+    away; on-grid lookups read each cell's precomputed winner and
+    margin).  The
     two winner sequences must agree exactly on every grid point, every
     lookup must be served from the atlas (no fallbacks on-grid), and
     the per-query speedup must clear the ``min_speedup`` floor — the

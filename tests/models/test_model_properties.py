@@ -111,3 +111,66 @@ def test_time_sweep_bit_identical_to_scalar_time(machine_name, dup_fraction,
         assert np.all(np.isfinite(swept)), model_label(model)
         assert [float.hex(float(t)) for t in swept] == \
                [float.hex(t) for t in expected], model_label(model)
+
+
+def _limit_sizes(machine):
+    """Each protocol limit of ``machine`` and one ulp either side."""
+    th = machine.comm_params.thresholds
+    sizes = []
+    for limit in (th.short_limit, th.eager_limit, th.gpu_eager_limit):
+        limit = float(limit)
+        sizes += [np.nextafter(limit, 0.0), limit,
+                  np.nextafter(limit, np.inf)]
+    return sizes
+
+
+@st.composite
+def point_queries(draw):
+    """``(preset, extended, scenario, size)`` for one-cell queries.
+
+    Sizes include 0 (an empty pattern) and every protocol limit of the
+    preset with its two neighbouring floats.
+    """
+    from repro.models.scenarios import Scenario
+
+    name = draw(st.sampled_from(sorted(PRESETS)))
+    n_dest = draw(st.integers(min_value=1, max_value=64))
+    msgs = n_dest * draw(st.integers(min_value=1, max_value=16))
+    dup = draw(st.sampled_from([0.0, 0.25])
+               | st.floats(min_value=0.0, max_value=0.9))
+    size = draw(st.sampled_from(
+        [0.0] + _limit_sizes(resolve_machine(name)))
+        | st.floats(min_value=0.0, max_value=1e8))
+    return (name, draw(st.booleans()),
+            Scenario(num_dest_nodes=n_dest, num_messages=msgs,
+                     dup_fraction=dup), float(size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=point_queries())
+def test_one_cell_query_bit_identical_to_scalar_time(query):
+    """A one-cell ``fused_scenario_times`` row is per-model scalar
+    ``time``, and ``best_strategy`` is the strict-``<`` scalar argmin."""
+    from repro.models.scenarios import (
+        best_strategy,
+        fused_scenario_times,
+        scenario_summary,
+    )
+
+    name, extended, scenario, size = query
+    machine = resolve_machine(name)
+    models = all_strategy_models(machine, include_extended=extended)
+    labels, times = fused_scenario_times(machine, [scenario], [size],
+                                         include_extended=extended)
+    summary = scenario_summary(machine, scenario, size)
+    expected = [m.time(summary, scenario.dup_fraction) for m in models]
+    assert labels == [model_label(m) for m in models]
+    assert times.shape == (len(models), 1, 1)
+    assert [float.hex(float(t)) for t in times[:, 0, 0]] == \
+           [float.hex(t) for t in expected]
+    best = None
+    for label, model, t in zip(labels, models, expected):
+        if model.name != "2-Step 1" and (best is None or t < best[1]):
+            best = (label, t)
+    assert best_strategy(machine, scenario, size,
+                         include_extended=extended) == best[0]

@@ -79,9 +79,13 @@ def _run_and_kill(tmp_path, state, start_method):
     script.write_text(_CHILD.format(src=os.path.abspath(src),
                                     workdir=str(state), n=N_TASKS,
                                     start_method=start_method))
+    # a session of its own puts the child's pool workers in the child's
+    # process group: a SIGKILLed parent cannot reap its workers, so the
+    # whole group is killed, never only the parent
     proc = subprocess.Popen([sys.executable, str(script)],
                             stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+                            stderr=subprocess.DEVNULL,
+                            start_new_session=True)
     try:
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
@@ -91,9 +95,9 @@ def _run_and_kill(tmp_path, state, start_method):
             if proc.poll() is not None:
                 break
             time.sleep(0.02)
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGKILL)
     finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=60.0)
 
 
