@@ -375,23 +375,16 @@ def run_chaos(seed: int = 0, smoke: bool = False,
             return _shard_key(task, spec, plans[task[2]],
                               pattern_fps[task[2]])
 
-    supervised = (policy is not None or journal_dir is not None
-                  or resume or proc_faults is not None)
-    if supervised:
-        if stats is None:
-            stats = SweepStats()
-        if policy is None:
-            policy = SweepPolicy(strict=False)
-        shards = sweep_map(run_chaos_shard, tasks, jobs=jobs,
-                           cache=cache, key_fn=key_fn, stats=stats,
-                           policy=policy, journal_dir=journal_dir,
-                           resume=resume, proc_faults=proc_faults)
-    else:
-        shards = sweep_map(run_chaos_shard, tasks, jobs=jobs,
-                           cache=cache, key_fn=key_fn, stats=stats)
-    quarantined_by_index = {
-        q["index"]: q
-        for q in (stats.quarantined if stats is not None else ())}
+    if policy is None and (journal_dir is not None or resume
+                           or proc_faults is not None):
+        policy = SweepPolicy(strict=False)
+    if stats is None:
+        stats = SweepStats()
+    shards = sweep_map(run_chaos_shard, tasks, jobs=jobs, cache=cache,
+                       key_fn=key_fn, stats=stats, policy=policy,
+                       journal_dir=journal_dir, resume=resume,
+                       proc_faults=proc_faults)
+    quarantined_by_index = {q["index"]: q for q in stats.quarantined}
 
     violations: List[str] = []
     merged = MetricsRegistry()

@@ -22,7 +22,7 @@ def add_supervision_args(parser: argparse.ArgumentParser) -> None:
 
     Giving any of them opts the sweep into supervised execution
     (watchdog, retry/quarantine, checkpoint–resume); omitting all three
-    keeps the legacy zero-overhead fan-out.
+    keeps the sweep fail-fast: the first shard error aborts it.
     """
     parser.add_argument("--max-retries", type=int, default=None,
                         metavar="N",
@@ -50,7 +50,7 @@ def supervision_from_args(ns: argparse.Namespace, cache: Optional[Any],
     """``(policy, journal_dir, resume)`` for :func:`repro.par.sweep_map`.
 
     Returns ``(None, None, False)`` when none of the supervision flags
-    were given, so callers pass straight through to the legacy path.
+    were given, which leaves :func:`~repro.par.sweep_map` fail-fast.
     ``strict=True`` (the default for result-bearing sweeps like figure
     grids) re-raises quarantined shards at the end; the chaos harness
     uses ``strict=False`` to report them instead.

@@ -1,13 +1,28 @@
-"""Parallel sweep executor: deterministic fan-out over process pools.
+"""Parallel sweep executor: one deterministic, checkpointing sweep path.
 
 Every expensive entry point in the repro (chaos sweeps, figure grids,
-the SpMV suite, scenario model sweeps, the perf suite) is a loop over
-**independent, pure** shard evaluations.  :func:`sweep_map` is the one
-fan-out primitive they all share:
+the SpMV suite, scenario model sweeps, atlas builds, the perf suite) is
+a loop over **independent, pure** shard evaluations.  :func:`sweep_map`
+is the one fan-out primitive they all share, and every call takes the
+same five steps:
 
-* **Serial fallback** — at ``jobs=1`` it is a plain in-process loop: no
-  pool, no pickling, no extra allocation, so existing golden outputs
-  stay bit-exact and single-core runs pay nothing.
+1. validate the arguments and split the tasks into cache hits and
+   misses — pass a :class:`~repro.par.cache.ResultCache` plus a
+   ``key_fn`` and hits skip evaluation entirely;
+2. open a :class:`~repro.par.journal.SweepJournal` when ``journal_dir``
+   is given;
+3. run the misses: in this process when ``jobs == 1`` or at most one
+   misses (no pool, no pickling), else over one supervised process
+   pool of at most ``min(jobs, runnable chunks)`` workers;
+4. checkpoint each shard as it is gathered (cache ``put`` plus a
+   journal line), so a killed process loses no completed shard and can
+   ``resume=True`` to re-execute only the missing ones;
+5. fill in the quarantine manifest.
+
+Both bodies of step 3 run one worker body (per-task outcomes) and hand
+every outcome to the one place where failures are attributed.  Common
+properties:
+
 * **Deterministic sharding** — tasks are split into *contiguous* chunks
   by :func:`shard_tasks` (a pure function of ``(n, jobs, chunk_size)``),
   so the work distribution never depends on scheduler timing.
@@ -19,12 +34,15 @@ fan-out primitive they all share:
   cheapest available (``fork`` on POSIX) but honours
   ``$REPRO_START_METHOD`` and the ``start_method=`` argument, and the
   test suite pins ``spawn`` compatibility.
-* **Content-addressed caching** — pass a
-  :class:`~repro.par.cache.ResultCache` plus a ``key_fn``; cache hits
-  skip evaluation entirely and only misses are fanned out.
-* **Supervised execution** (opt-in, via :class:`SweepPolicy` /
-  ``journal_dir`` / ``resume`` / ``proc_faults``) — the fan-out becomes
-  fault tolerant instead of all-or-nothing:
+
+The arguments decide one thing only: what a failure does.
+
+* **Fail fast** (none of ``policy`` / ``journal_dir`` / ``resume`` /
+  ``proc_faults`` given): the first task exception is re-raised
+  unchanged, a lost worker raises its ``BrokenExecutor``, the pool is
+  killed, and nothing is retried.
+* **Supervised** (any of them given, :class:`SweepPolicy` defaults
+  otherwise):
 
   - a **watchdog** enforces per-chunk wall-clock deadlines
     (``task_timeout`` seconds per task); a chunk past its deadline is
@@ -42,13 +60,7 @@ fan-out primitive they all share:
     finally **quarantined**: recorded (index, cache key, reason,
     error) in :attr:`SweepStats.quarantined` and, in strict mode,
     re-raised at the end as :class:`SweepQuarantineError` — the sweep
-    always completes with an explicit completeness manifest;
-  - completed shards **checkpoint incrementally**: cache ``put`` on
-    gather (not after the full sweep) plus a
-    :class:`~repro.par.journal.SweepJournal` line per shard, so a
-    killed process can ``resume=True`` and re-execute only the missing
-    shards — the final result list is bit-identical to a fault-free
-    serial run.
+    always completes with an explicit completeness manifest.
 
   Deterministic *process-level* fault injection for all of the above
   lives in :mod:`repro.faults.procfault` (crash / hang / raise on
@@ -65,6 +77,7 @@ import multiprocessing
 import os
 import statistics
 import time
+import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
@@ -312,41 +325,39 @@ class SweepStats:
         }
 
 
-def _run_chunk(fn: Callable[[Any], Any], chunk: List[Tuple[int, Any]]
-               ) -> Tuple[List[Tuple[int, Any]], Dict[str, Any]]:
-    """Worker body: evaluate one contiguous chunk of (index, task).
 
-    Returns the results plus the chunk's telemetry (task span, measured
-    wall seconds, worker pid) for :attr:`SweepStats.worker_events`.
-    """
-    t0 = time.perf_counter()
-    results = [(index, fn(task)) for index, task in chunk]
-    telemetry = {
-        "lo": chunk[0][0],
-        "hi": chunk[-1][0],
-        "tasks": len(chunk),
-        "wall_s": time.perf_counter() - t0,
-        "pid": os.getpid(),
-    }
-    return results, telemetry
+
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as the ``__cause__`` of a
+    re-raised task exception (pickling drops the original frames)."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def _run_chunk_guarded(fn: Callable[[Any], Any],
                        chunk: List[Tuple[int, Any]],
                        faults: Any,
-                       runs: Dict[int, int]
+                       runs: Dict[int, int],
+                       fail_fast: bool
                        ) -> Tuple[List[Tuple[int, bool, Any, Optional[str]]],
                                   Dict[str, Any]]:
-    """Supervised worker body: per-task outcomes instead of fail-fast.
+    """Worker body: evaluate one contiguous chunk of (index, task).
 
     Each task yields ``(index, ok, value, error)`` — a task that raises
     is *recorded*, not propagated, so one poison task cannot discard its
-    chunk-mates' results.  ``faults`` (a
+    chunk-mates' results; ``error`` reads ``"Type: message"``.  With
+    ``fail_fast`` the chunk stops at its first failure instead, and that
+    outcome carries the exception object as ``value`` and its formatted
+    traceback as ``error`` for the parent to re-raise.  ``faults`` (a
     :class:`~repro.faults.procfault.ProcFaultPlan` or ``None``) injects
-    process-level failures first: ``crash`` exits the worker without
+    process-level failures first: ``crash`` exits the process without
     cleanup, ``hang`` sleeps past any reasonable deadline, ``raise``
     records an injected error.  ``runs`` carries each task's 1-based
     evaluation count so transient schedules can clear on retry.
+
+    Returns the outcomes plus the chunk's telemetry (task span, measured
+    wall seconds, pid) for :attr:`SweepStats.worker_events`.
     """
     t0 = time.perf_counter()
     outcomes: List[Tuple[int, bool, Any, Optional[str]]] = []
@@ -367,6 +378,9 @@ def _run_chunk_guarded(fn: Callable[[Any], Any],
         except BaseException as exc:  # noqa: BLE001 — quarantine wants all
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            if fail_fast:
+                outcomes.append((index, False, exc, traceback.format_exc()))
+                break
             outcomes.append((index, False, None,
                              f"{type(exc).__name__}: {exc}"))
         else:
@@ -383,8 +397,14 @@ def _run_chunk_guarded(fn: Callable[[Any], Any],
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Terminate a pool's workers and reap them (hung workers never
-    exit on their own, so a plain shutdown would block forever)."""
+    exit on their own, so a plain shutdown would block forever).
+
+    The pool's manager thread also reaps workers and can win that race,
+    so wait for it too: only then are the exit statuses recorded, and no
+    thread of the dead pool is still running when the next pool forks.
+    """
     procs = list(getattr(pool, "_processes", {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     for proc in procs:
         try:
             proc.terminate()
@@ -399,79 +419,127 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             proc.join(timeout=5.0)
         except (OSError, ValueError, AssertionError):  # pragma: no cover
             pass
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
 class _Supervisor:
-    """State machine for one supervised fan-out (see :func:`sweep_map`).
+    """Runs one sweep's cache misses (see :func:`sweep_map`).
 
-    Failure attribution protocol: when the pool breaks (a worker died)
-    every in-flight chunk is *suspect* — guilt is unknowable pool-wide —
-    so suspects re-run one at a time in isolation.  A chunk that fails
-    alone is guilty: bisected while it holds more than one task,
-    retried under the policy's backoff once it is a single task, and
-    quarantined when retries exhaust.  A chunk that succeeds alone was
-    an innocent bystander and is never penalized, which keeps the
+    :meth:`run_serial` evaluates the chunk queue in-process and
+    :meth:`run_pool` over a process pool; both run the same worker body
+    and hand every outcome to :meth:`_absorb`, the one place where a
+    failed task is attributed.  With ``fail_fast`` a failure is raised
+    there (and a lost worker where it is detected); otherwise it is
+    penalized under ``policy``.
+
+    Failure attribution protocol (pool): when the pool breaks (a worker
+    died) every in-flight chunk is *suspect* — guilt is unknowable
+    pool-wide — so suspects re-run one at a time in isolation.  A chunk
+    that fails alone is guilty: bisected while it holds more than one
+    task, retried under the policy's backoff once it is a single task,
+    and quarantined when retries exhaust.  A chunk that succeeds alone
+    was an innocent bystander and is never penalized, which keeps the
     quarantine set a pure function of the fault schedule (not of the
     worker count or chunk geometry).
     """
 
     def __init__(self, fn: Callable[[Any], Any],
-                 pending: List[Tuple[int, Any]], jobs: int,
-                 chunk_size: Optional[int], start_method: str,
-                 policy: SweepPolicy, stats: SweepStats,
-                 proc_faults: Any,
+                 chunks: List[List[Tuple[int, Any]]], jobs: int,
+                 policy: SweepPolicy, fail_fast: bool,
+                 stats: SweepStats, proc_faults: Any,
                  checkpoint: Callable[[int, Any], None]) -> None:
         self.fn = fn
         self.jobs = jobs
-        self.start_method = start_method
         self.policy = policy
+        self.fail_fast = fail_fast
         self.stats = stats
         self.faults = proc_faults
         self.checkpoint = checkpoint
-        self.rng = policy.rng()
-        spans = shard_tasks(len(pending), jobs, chunk_size)
-        self.queue: collections.deque = collections.deque(
-            pending[lo:hi] for lo, hi in spans)
+        self.rng: Optional[np.random.Generator] = None  # on first retry
+        self.queue: collections.deque = collections.deque(chunks)
         self.suspects: collections.deque = collections.deque()
         self.inflight: Dict[Any, List[Tuple[int, Any]]] = {}
         self.deadlines: Dict[Any, float] = {}
-        self.runs: Dict[int, int] = {index: 0 for index, _ in pending}
-        self.attempts: Dict[int, int] = {index: 0 for index, _ in pending}
-        self.results: Dict[int, Any] = {}
+        self.runs: Dict[int, int] = {}
+        self.attempts: Dict[int, int] = {}
         self.gathered = 0
         self.pool: Optional[ProcessPoolExecutor] = None
-        self.grace = POOL_SPINUP_GRACE.get(start_method,
-                                           DEFAULT_SPINUP_GRACE)
+        self.workers = 0
+        self.start_method = ""
+        self.grace = 0.0
+
+    def _next_runs(self, chunk: List[Tuple[int, Any]]) -> Dict[int, int]:
+        """Each task's 1-based evaluation count for the next run."""
+        return {index: self.runs.get(index, 0) + 1 for index, _ in chunk}
+
+    # -- serial loop --------------------------------------------------------
+    def run_serial(self) -> None:
+        """Evaluate the queue in this process: the misses as one chunk,
+        in task order, then any retries, one task each.
+
+        Raised exceptions (and injected ``raise`` faults) are retried
+        and quarantined exactly like the pooled path.  Injected
+        ``crash`` / ``hang`` faults act on *this* process — a crash
+        genuinely kills the run (which is what checkpoint + resume
+        recover from) and a hang sleeps; there is no out-of-process
+        watchdog to fire.
+        """
+        while self.queue:
+            chunk = self.queue.popleft()
+            runs = self._next_runs(chunk)
+            self.runs.update(runs)
+            self._absorb(chunk, *_run_chunk_guarded(
+                self.fn, chunk, self.faults, runs, self.fail_fast))
 
     # -- pool lifecycle -----------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self.pool is None:
-            ctx = multiprocessing.get_context(self.start_method)
-            self.pool = ProcessPoolExecutor(max_workers=self.jobs,
-                                            mp_context=ctx)
-        return self.pool
+    def _size_pool(self, workers: int) -> None:
+        """Give the idle pool at least ``workers`` processes.
+
+        Callers ask for no more workers than runnable chunks: a
+        ``ProcessPoolExecutor`` forks all of its workers up front, so a
+        pool sized to ``jobs`` would fork idle processes for a two-chunk
+        sweep or an isolated suspect.
+        """
+        if self.pool is not None and self.workers >= workers:
+            return
+        if self.pool is not None:
+            _kill_pool(self.pool)
+        ctx = multiprocessing.get_context(self.start_method)
+        self.pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+        self.workers = workers
 
     def _respawn(self) -> None:
         if self.pool is not None:
             _kill_pool(self.pool)
             self.pool = None
+            self.workers = 0
         self.stats.respawns += 1
         self.deadlines.clear()
 
-    def _submit(self, chunk: List[Tuple[int, Any]]) -> None:
-        pool = self._ensure_pool()
-        for index, _task in chunk:
-            self.runs[index] += 1
-        future = pool.submit(_run_chunk_guarded, self.fn, chunk,
-                             self.faults,
-                             {index: self.runs[index]
-                              for index, _ in chunk})
+    def _submit(self, chunk: List[Tuple[int, Any]]) -> bool:
+        """Submit ``chunk``; ``False`` when the pool has already broken."""
+        runs = self._next_runs(chunk)
+        try:
+            future = self.pool.submit(_run_chunk_guarded, self.fn, chunk,
+                                      self.faults, runs, self.fail_fast)
+        except BrokenExecutor:
+            # A worker died since the last gather.  Its in-flight chunk
+            # reports the loss on the next wait; with none in flight,
+            # nobody will, so replace the pool here.
+            if self.fail_fast:
+                raise
+            if not self.inflight:
+                self._respawn()
+            return False
+        self.runs.update(runs)
         self.inflight[future] = chunk
         self.stats.chunks += 1
         if self.policy.task_timeout is not None:
             self.deadlines[future] = (
                 time.monotonic()
                 + self.policy.task_timeout * len(chunk) + self.grace)
+        return True
 
     # -- failure handling ---------------------------------------------------
     def _quarantine(self, index: int, reason: str, error: str) -> None:
@@ -495,8 +563,7 @@ class _Supervisor:
             self.queue.appendleft(chunk[:mid])
             return
         index = chunk[0][0]
-        self.attempts[index] += 1
-        attempt = self.attempts[index]
+        attempt = self.attempts[index] = self.attempts.get(index, 0) + 1
         message = error or f"worker {reason} while running task {index}"
         if attempt > self.policy.retry.max_retries:
             self._quarantine(index, reason, message)
@@ -504,6 +571,8 @@ class _Supervisor:
         self.stats.retried += 1
         self.stats.recovery("chunk_retry", reason=reason, action="retry",
                             lo=index, hi=index, tasks=1, attempt=attempt)
+        if self.rng is None:
+            self.rng = self.policy.rng()
         delay = self.policy.backoff_delay(attempt - 1, self.rng)
         if delay > 0.0:
             time.sleep(delay)
@@ -517,8 +586,11 @@ class _Supervisor:
         task_by_index = dict(chunk)
         for index, ok, value, error in outcomes:
             if ok:
-                self.results[index] = value
                 self.checkpoint(index, value)
+            elif self.fail_fast:
+                if value.__traceback__ is None:  # crossed a process
+                    raise value from _RemoteTraceback(error)
+                raise value
             else:
                 self._penalize([(index, task_by_index[index])],
                                "error", error)
@@ -528,8 +600,11 @@ class _Supervisor:
             + len(self.suspects) + len(self.inflight), **telemetry,
         })
 
-    # -- main loop ----------------------------------------------------------
-    def run(self) -> Dict[int, Any]:
+    # -- pool loop ----------------------------------------------------------
+    def run_pool(self, start_method: Optional[str]) -> None:
+        self.start_method = start_method or default_start_method()
+        self.grace = POOL_SPINUP_GRACE.get(self.start_method,
+                                           DEFAULT_SPINUP_GRACE)
         try:
             while self.queue or self.suspects or self.inflight:
                 self._top_up()
@@ -539,7 +614,6 @@ class _Supervisor:
             if self.pool is not None:
                 _kill_pool(self.pool)
                 self.pool = None
-        return self.results
 
     def _top_up(self) -> None:
         """Keep exactly the runnable set submitted.
@@ -551,11 +625,17 @@ class _Supervisor:
         the pool, so a repeat failure identifies the guilty chunk.
         """
         if self.suspects:
-            if not self.inflight:
-                self._submit(self.suspects.popleft())
-            return
-        while self.queue and len(self.inflight) < self.jobs:
-            self._submit(self.queue.popleft())
+            if self.inflight:
+                return
+            source, limit = self.suspects, 1
+        else:
+            source, limit = self.queue, self.jobs
+        if source and not self.inflight:
+            self._size_pool(min(limit, len(source)))
+        while source and len(self.inflight) < min(limit, self.workers):
+            if not self._submit(source[0]):
+                return
+            source.popleft()
 
     def _step(self) -> None:
         timeout = None
@@ -566,20 +646,19 @@ class _Supervisor:
                        return_when=FIRST_COMPLETED)
         broken: List[List[Tuple[int, Any]]] = []
         for future in done:
-            chunk = self.inflight.get(future)
+            chunk = self.inflight.pop(future, None)
             if chunk is None:
                 continue
+            self.deadlines.pop(future, None)
             try:
                 outcomes, telemetry = future.result()
             except (BrokenExecutor, OSError):
                 # the worker died (or the result transport collapsed
                 # with it) — guilt is attributed below, not here
-                self.inflight.pop(future, None)
-                self.deadlines.pop(future, None)
+                if self.fail_fast:
+                    raise
                 broken.append(chunk)
                 continue
-            self.inflight.pop(future, None)
-            self.deadlines.pop(future, None)
             self._absorb(chunk, outcomes, telemetry)
         if broken:
             # The pool is dead: every still-in-flight chunk was killed
@@ -589,20 +668,14 @@ class _Supervisor:
             bystanders = list(self.inflight.values())
             self.inflight.clear()
             self._respawn()
-            if len(broken) == 1 and not bystanders:
-                chunk = broken[0]
+            for chunk in broken:
                 self.stats.recovery("worker_lost", reason="crash",
                                     lo=chunk[0][0], hi=chunk[-1][0],
                                     tasks=len(chunk))
-                self._penalize(chunk, "crash")
+            if len(broken) == 1 and not bystanders:
+                self._penalize(broken[0], "crash")
             else:
-                for chunk in broken:
-                    self.stats.recovery("worker_lost", reason="crash",
-                                        lo=chunk[0][0], hi=chunk[-1][0],
-                                        tasks=len(chunk))
-                    self.suspects.append(chunk)
-                for chunk in bystanders:
-                    self.suspects.append(chunk)
+                self.suspects.extend(broken + bystanders)
             return
         if self.deadlines:
             now = time.monotonic()
@@ -643,147 +716,68 @@ def sweep_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     The result list is always in task order and bit-identical across
     worker counts (``fn`` must be a pure function of its task).  With
     ``jobs > 1``, ``fn`` must be module-level and each task picklable.
+    Cache hits are never evaluated; the misses run in this process when
+    ``jobs == 1`` or at most one misses, else over a process pool of at
+    most ``jobs`` workers.  Every completed shard checkpoints as it is
+    gathered: ``cache.put`` (in task order when serial) and, with
+    ``journal_dir``, a :class:`~repro.par.journal.SweepJournal` line.
 
-    **Unsupervised** (the default — none of ``policy`` / ``journal_dir``
-    / ``resume`` / ``proc_faults`` given): exceptions raised by ``fn``
-    propagate to the caller (the pool is shut down first), the cache is
-    written after the full ordered gather, and a crashed or hung worker
-    aborts the sweep — the zero-overhead fast path is byte-for-byte the
-    pre-supervision behaviour.
+    Failures take one of two courses:
 
-    **Supervised** (any of those arguments given): lost and hung
-    workers are detected, the pool respawned, failing chunks bisected
-    and poison tasks quarantined under ``policy`` (see
-    :class:`SweepPolicy`); completed shards checkpoint incrementally to
-    ``cache`` and to a :class:`~repro.par.journal.SweepJournal` under
-    ``journal_dir``; ``resume=True`` (requires ``cache`` and
-    ``journal_dir``) restores previously completed shards and
-    re-executes only the missing ones.  ``proc_faults`` injects
-    deterministic process-level failures (tests / ``repro chaos
-    --proc-faults``).
+    * **fail fast** (none of ``policy`` / ``journal_dir`` / ``resume`` /
+      ``proc_faults`` given): the first exception raised by ``fn``
+      propagates unchanged (same type and message; shards completed
+      before it are already cached), a lost worker raises its
+      :class:`~concurrent.futures.BrokenExecutor`, the pool is killed
+      first and nothing is retried;
+    * **supervised** (any of them given): lost and hung workers are
+      detected, the pool respawned, failing chunks bisected and poison
+      tasks retried, then quarantined, under ``policy`` (default
+      :class:`SweepPolicy`).  ``resume=True`` (requires ``cache`` and
+      ``journal_dir``) restores previously completed shards and
+      re-executes only the missing ones.  ``proc_faults`` injects
+      deterministic process-level failures (tests / ``repro chaos
+      --proc-faults``).
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
-    supervised = (policy is not None or journal_dir is not None
-                  or resume or proc_faults is not None)
-    if supervised:
-        return _sweep_supervised(
-            fn, tasks, jobs, cache=cache, key_fn=key_fn,
-            chunk_size=chunk_size,
-            start_method=start_method or default_start_method(),
-            stats=stats, policy=policy or SweepPolicy(),
-            journal_dir=journal_dir, resume=resume,
-            proc_faults=proc_faults)
-
-    results: List[Any] = [None] * len(tasks)
-    keys: List[Optional[str]] = [None] * len(tasks)
-    pending: List[Tuple[int, Any]] = []
-    if cache is not None:
-        if key_fn is None:
-            raise ValueError("cache requires a key_fn")
-        for index, task in enumerate(tasks):
-            key = key_fn(task)
-            keys[index] = key
-            hit, value = cache.lookup(key)
-            if hit:
-                results[index] = value
-            else:
-                pending.append((index, task))
-    else:
-        pending = list(enumerate(tasks))
-
-    if stats is not None:
-        stats.tasks = len(tasks)
-        stats.executed = len(pending)
-        stats.cache_hits = len(tasks) - len(pending)
-        stats.jobs = jobs
-        stats.chunks = 0
-
-    if jobs == 1 or len(pending) <= 1:
-        t0 = time.perf_counter()
-        for index, task in pending:
-            results[index] = fn(task)
-        if stats is not None and pending:
-            # One in-process heartbeat so serial sweeps report the same
-            # fleet-telemetry shape as fanned-out ones.
-            stats.worker_events.append({
-                "chunk": 0, "lo": pending[0][0], "hi": pending[-1][0],
-                "tasks": len(pending), "done": 1, "total": 1,
-                "wall_s": time.perf_counter() - t0, "pid": os.getpid(),
-            })
-    else:
-        spans = shard_tasks(len(pending), jobs, chunk_size)
-        chunks = [pending[lo:hi] for lo, hi in spans]
-        if stats is not None:
-            stats.chunks = len(chunks)
-        ctx = multiprocessing.get_context(
-            start_method or default_start_method())
-        workers = min(jobs, len(chunks))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=ctx) as pool:
-            futures = [pool.submit(_run_chunk, fn, chunk)
-                       for chunk in chunks]
-            # Gather in submission order: completion order is
-            # irrelevant because every result lands at its task index.
-            for done, future in enumerate(futures, start=1):
-                chunk_results, telemetry = future.result()
-                for index, value in chunk_results:
-                    results[index] = value
-                if stats is not None:
-                    stats.worker_events.append({
-                        "chunk": done - 1, "done": done,
-                        "total": len(futures), **telemetry,
-                    })
-
-    if cache is not None:
-        for index, _task in pending:
-            cache.put(keys[index], results[index])
-    return results
-
-
-def _sweep_supervised(fn: Callable[[Any], Any], tasks: List[Any],
-                      jobs: int, *, cache: Optional[Any],
-                      key_fn: Optional[Callable[[Any], str]],
-                      chunk_size: Optional[int], start_method: str,
-                      stats: Optional[SweepStats], policy: SweepPolicy,
-                      journal_dir: Optional[str], resume: bool,
-                      proc_faults: Optional[Any]) -> List[Any]:
-    """Supervised body of :func:`sweep_map` (see its docstring)."""
-    from repro.par.cache import stable_fingerprint
-    from repro.par.journal import SweepJournal, journal_path
-
     if resume and (cache is None or journal_dir is None):
         raise ValueError(
             "resume requires both a cache (to restore completed shard "
             "values) and a journal_dir (to identify the sweep)")
     if cache is not None and key_fn is None:
         raise ValueError("cache requires a key_fn")
+    fail_fast = (policy is None and journal_dir is None and not resume
+                 and proc_faults is None)
+    if policy is None:
+        policy = SweepPolicy()
     if stats is None:
         stats = SweepStats()
 
     results: List[Any] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
-    pending: List[Tuple[int, Any]] = []
-    if cache is not None:
+    if cache is None:
+        pending = list(enumerate(tasks))
+    else:
+        pending = []
         for index, task in enumerate(tasks):
-            key = key_fn(task)
-            keys[index] = key
+            key = keys[index] = key_fn(task)
             hit, value = cache.lookup(key)
             if hit:
                 results[index] = value
             else:
                 pending.append((index, task))
-    else:
-        pending = list(enumerate(tasks))
-
     stats.tasks = len(tasks)
     stats.executed = len(pending)
     stats.cache_hits = len(tasks) - len(pending)
     stats.jobs = jobs
     stats.chunks = 0
 
-    journal: Optional[SweepJournal] = None
+    journal = None
     if journal_dir is not None:
+        from repro.par.cache import stable_fingerprint
+        from repro.par.journal import SweepJournal, journal_path
+
         sweep_id = stable_fingerprint(
             {"keys": keys} if cache is not None else {"n": len(tasks)})
         journal = SweepJournal(journal_path(journal_dir, sweep_id),
@@ -797,25 +791,33 @@ def _sweep_supervised(fn: Callable[[Any], Any], tasks: List[Any],
             stats.resumed = restored
             stats.recovery("sweep_resume", done=restored,
                            tasks=len(tasks))
+            # a kill between a shard's cache put and its journal line
+            # leaves a value the journal lacks: journal it now
+            missing = {index for index, _task in pending}
+            for index in range(len(tasks)):
+                if index not in done_indices and index not in missing:
+                    journal.shard_done(index, key=keys[index])
 
     def checkpoint(index: int, value: Any) -> None:
-        # incremental: a kill after this line never loses the shard
+        # incremental and cache-first: a kill never loses a gathered
+        # shard, nor journals one whose value is missing
+        results[index] = value
         if cache is not None:
             cache.put(keys[index], value)
         if journal is not None:
             journal.shard_done(index, key=keys[index])
 
     try:
-        if jobs == 1 or len(pending) <= 1:
-            _supervised_serial(fn, pending, policy, stats, proc_faults,
-                               checkpoint, results)
+        serial = jobs == 1 or len(pending) <= 1
+        spans = shard_tasks(len(pending), jobs,
+                            max(len(pending), 1) if serial else chunk_size)
+        supervisor = _Supervisor(
+            fn, [pending[lo:hi] for lo, hi in spans], jobs, policy,
+            fail_fast, stats, proc_faults, checkpoint)
+        if serial:
+            supervisor.run_serial()
         else:
-            supervisor = _Supervisor(fn, pending, jobs, chunk_size,
-                                     start_method, policy, stats,
-                                     proc_faults, checkpoint)
-            gathered = supervisor.run()
-            for index, value in gathered.items():
-                results[index] = value
+            supervisor.run_pool(start_method)
         for record in stats.quarantined:
             record["key"] = keys[record["index"]]
             if journal is not None:
@@ -825,8 +827,7 @@ def _sweep_supervised(fn: Callable[[Any], Any], tasks: List[Any],
         if journal is not None:
             journal.finish(
                 completed=len(tasks) - len(stats.quarantined),
-                quarantined=sorted(q["index"]
-                                   for q in stats.quarantined))
+                quarantined=sorted(q["index"] for q in stats.quarantined))
     finally:
         if journal is not None:
             journal.close()
@@ -834,63 +835,3 @@ def _sweep_supervised(fn: Callable[[Any], Any], tasks: List[Any],
     if policy.strict and stats.quarantined:
         raise SweepQuarantineError(stats.quarantined)
     return results
-
-
-def _supervised_serial(fn: Callable[[Any], Any],
-                       pending: List[Tuple[int, Any]],
-                       policy: SweepPolicy, stats: SweepStats,
-                       proc_faults: Optional[Any],
-                       checkpoint: Callable[[int, Any], None],
-                       results: List[Any]) -> None:
-    """In-process supervised loop (``jobs=1``).
-
-    Raised exceptions (and injected ``raise`` faults) are retried and
-    quarantined exactly like the pooled path.  Injected ``crash`` /
-    ``hang`` faults act on *this* process — a crash genuinely kills the
-    run (which is what checkpoint + resume recover from) and a hang
-    sleeps; there is no out-of-process watchdog to fire.
-    """
-    rng = policy.rng()
-    t0 = time.perf_counter()
-    for index, task in pending:
-        attempt = 0
-        while True:
-            error = None
-            if proc_faults is not None:
-                action = proc_faults.action(index, attempt + 1)
-                if action == "crash":
-                    os._exit(proc_faults.exit_code)
-                elif action == "hang":
-                    time.sleep(proc_faults.hang_seconds)
-                elif action == "raise":
-                    error = f"ProcFaultError: injected raise (task {index})"
-            if error is None:
-                try:
-                    results[index] = fn(task)
-                except BaseException as exc:  # noqa: BLE001
-                    if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                        raise
-                    error = f"{type(exc).__name__}: {exc}"
-                else:
-                    checkpoint(index, results[index])
-                    break
-            attempt += 1
-            if attempt > policy.retry.max_retries:
-                stats.quarantined.append({
-                    "index": index, "key": None, "reason": "error",
-                    "error": error})
-                stats.recovery("task_quarantined", index=index,
-                               reason="error", error=error)
-                break
-            stats.retried += 1
-            stats.recovery("chunk_retry", reason="error", action="retry",
-                           lo=index, hi=index, tasks=1, attempt=attempt)
-            delay = policy.backoff_delay(attempt - 1, rng)
-            if delay > 0.0:
-                time.sleep(delay)
-    if pending:
-        stats.worker_events.append({
-            "chunk": 0, "lo": pending[0][0], "hi": pending[-1][0],
-            "tasks": len(pending), "done": 1, "total": 1,
-            "wall_s": time.perf_counter() - t0, "pid": os.getpid(),
-        })

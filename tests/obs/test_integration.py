@@ -74,6 +74,23 @@ class TestEngineTracing:
         assert samples, "expected sampled queue-depth counters"
         assert sim.steps_traced > 400
 
+    @pytest.mark.parametrize("budgets", [{}, {"max_events": 10 ** 6}])
+    def test_run_ends_with_a_queue_depth_sample(self, budgets):
+        # traced runs take the guarded loop, with or without a watchdog
+        tracer = MemoryTracer()
+        sim = Simulator(tracer=tracer)
+
+        def worker():
+            for _ in range(400):
+                yield sim.timeout(1e-6)
+
+        sim.process(worker(), label="w0")
+        sim.run(**budgets)
+        samples = [(c.t, c.value) for c in tracer.counters
+                   if c.name == "queue_depth"]
+        assert len(samples) == sim.steps_traced // 256 + 1
+        assert samples[-1] == (sim.now, 0)
+
     def test_untraced_sim_counts_no_steps(self):
         sim = Simulator()
 

@@ -269,3 +269,70 @@ class TestFleetTelemetry:
         assert fleet["jobs"] == 2 and fleet["chunks"] == 4
         assert len(fleet["heartbeats"]) == 4
         assert fleet["stragglers"] == []
+
+
+class TestOnePath:
+    """Supervision changes what a failure does, never a fault-free run."""
+
+    @staticmethod
+    def _key(task):
+        return stable_fingerprint(("square", task))
+
+    def _sweep(self, directory, jobs, policy):
+        tasks = list(range(12))
+        cache = ResultCache(directory=str(directory))
+        # warm a few entries so the sweep sees partial hits
+        sweep_map(_square, [1, 4, 7, 8], jobs=1, cache=cache,
+                  key_fn=self._key)
+        stats = SweepStats()
+        out = sweep_map(_square, tasks, jobs=jobs, cache=cache,
+                        key_fn=self._key, stats=stats, policy=policy)
+        disk = ResultCache(directory=str(directory))
+        contents = (sorted(p.name for p in directory.rglob("*.pkl")),
+                    [disk.lookup(self._key(t)) for t in tasks], len(cache))
+        shape = (stats.tasks, stats.executed, stats.cache_hits, stats.jobs,
+                 stats.chunks, len(stats.worker_events),
+                 sorted((ev["lo"], ev["hi"]) for ev in stats.worker_events))
+        return out, contents, shape
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fault_free_sweep_is_policy_independent(self, jobs, tmp_path):
+        from repro.par import SweepPolicy
+
+        plain = self._sweep(tmp_path / "plain", jobs, None)
+        supervised = self._sweep(tmp_path / "supervised", jobs,
+                                 SweepPolicy())
+        serial = self._sweep(tmp_path / "serial", 1, None)
+        assert plain == supervised
+        assert plain[:2] == serial[:2]
+        assert plain[0] == [t * t for t in range(12)]
+        assert plain[2][:3] == (12, 8, 4)
+
+    def test_pool_is_sized_to_the_work(self, monkeypatch):
+        import repro.par.executor as executor
+        from repro.par import SweepPolicy
+
+        sizes = []
+
+        class RecordingPool(executor.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", RecordingPool)
+        stats = SweepStats()
+        out = sweep_map(_square, [3, 4], jobs=4, policy=SweepPolicy(),
+                        stats=stats)
+        assert out == [9, 16]
+        assert stats.chunks == 2
+        assert sizes == [2]
+
+    def test_fail_fast_pool_leaves_no_workers(self):
+        import multiprocessing
+
+        with pytest.raises(ValueError, match="task 3 exploded") as excinfo:
+            sweep_map(_boom, list(range(8)), jobs=2)
+        assert excinfo.type is ValueError
+        # the worker's traceback rides along as the cause
+        assert "_boom" in str(excinfo.value.__cause__)
+        assert multiprocessing.active_children() == []

@@ -230,6 +230,30 @@ class TestCheckpointResume:
         assert any(ev["kind"] == "sweep_resume"
                    for ev in stats.recovery_events)
 
+    def test_resume_journals_an_orphaned_cache_entry(self, tmp_path):
+        # a kill between shard 3's cache put and its journal line leaves
+        # a cached value the journal lacks
+        import json
+
+        tasks = list(range(6))
+        kwargs = dict(key_fn=_key, journal_dir=str(tmp_path))
+        sweep_map(_double, tasks, jobs=1, policy=SweepPolicy(),
+                  cache=ResultCache(directory=str(tmp_path)), **kwargs)
+        (journal,) = tmp_path.glob("sweep-*.jsonl")
+        kept = [line for line in journal.read_text().splitlines()
+                if json.loads(line)["kind"] != "sweep_end"
+                and json.loads(line).get("index") != 3]
+        journal.write_text("\n".join(kept) + "\n")
+        stats = SweepStats()
+        out = sweep_map(_double, tasks, jobs=1, resume=True, stats=stats,
+                        cache=ResultCache(directory=str(tmp_path)),
+                        **kwargs)
+        assert out == [_double(t) for t in tasks]
+        assert stats.executed == 0
+        done = {r["index"] for r in read_journal(str(journal))
+                if r["kind"] == "shard_done"}
+        assert done == set(tasks)
+
     def test_quarantines_carry_cache_keys(self, tmp_path):
         plan = ProcFaultPlan(faults=(
             ProcFault(kind="raise", index=1, max_runs=None),))
@@ -333,3 +357,31 @@ class TestCliOpts:
         policy, journal_dir, resume = supervision_from_args(ns, None)
         assert policy.task_timeout == 2.5
         assert journal_dir is None and not resume
+
+
+def _slow_double(x):
+    if x == 2:
+        import time
+
+        time.sleep(0.1)
+    return 2 * x
+
+
+class TestBrokenPoolAtSubmit:
+    def test_crash_during_retry_backoff_respawns(self):
+        # chunk [0, 1] comes back first with task 0's injected raise;
+        # its retry backoff sleeps while the other worker crashes on
+        # task 3, so the retry meets a pool that is already broken
+        plan = ProcFaultPlan(faults=(
+            ProcFault(kind="raise", index=0, max_runs=1),
+            ProcFault(kind="crash", index=3, max_runs=1)))
+        policy = SweepPolicy(retry=RetryPolicy(timeout=30.0, backoff=0.4,
+                                               backoff_cap=0.4,
+                                               max_retries=2),
+                             strict=False)
+        stats = SweepStats()
+        out = sweep_map(_slow_double, [0, 1, 2, 3], jobs=2, chunk_size=2,
+                        policy=policy, stats=stats, proc_faults=plan)
+        assert out == [0, 2, 4, 6]
+        assert stats.quarantined == []
+        assert stats.respawns >= 1
