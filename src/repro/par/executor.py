@@ -14,14 +14,15 @@ same five steps:
 3. run the misses: in this process when ``jobs == 1`` or at most one
    misses (no pool, no pickling), else over one supervised process
    pool of at most ``min(jobs, runnable chunks)`` workers;
-4. checkpoint each shard as it is gathered (cache ``put`` plus a
-   journal line), so a killed process loses no completed shard and can
-   ``resume=True`` to re-execute only the missing ones;
+4. checkpoint each shard as it is gathered — in this process as soon
+   as its task returns, from a pool with its chunk — with a cache
+   ``put`` plus a journal line, so a killed sweep loses no gathered
+   shard and can ``resume=True`` to re-execute only the missing ones;
 5. fill in the quarantine manifest.
 
 Both bodies of step 3 run one worker body (per-task outcomes) and hand
-every outcome to the one place where failures are attributed.  Common
-properties:
+every outcome to the one place where it is checkpointed or, if it
+failed, attributed.  Common properties:
 
 * **Deterministic sharding** — tasks are split into *contiguous* chunks
   by :func:`shard_tasks` (a pure function of ``(n, jobs, chunk_size)``),
@@ -77,7 +78,6 @@ import multiprocessing
 import os
 import statistics
 import time
-import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
@@ -325,42 +325,40 @@ class SweepStats:
         }
 
 
-
-
-class _RemoteTraceback(Exception):
-    """A worker's formatted traceback, chained as the ``__cause__`` of a
-    re-raised task exception (pickling drops the original frames)."""
-
-    def __str__(self) -> str:
-        return self.args[0]
+#: one task's ``(index, ok, value, error)``
+_Outcome = Tuple[int, bool, Any, Optional[str]]
 
 
 def _run_chunk_guarded(fn: Callable[[Any], Any],
                        chunk: List[Tuple[int, Any]],
                        faults: Any,
                        runs: Dict[int, int],
-                       fail_fast: bool
-                       ) -> Tuple[List[Tuple[int, bool, Any, Optional[str]]],
-                                  Dict[str, Any]]:
+                       fail_fast: bool,
+                       emit: Optional[Callable[[_Outcome], None]] = None
+                       ) -> Tuple[List[_Outcome], Dict[str, Any]]:
     """Worker body: evaluate one contiguous chunk of (index, task).
 
     Each task yields ``(index, ok, value, error)`` — a task that raises
     is *recorded*, not propagated, so one poison task cannot discard its
     chunk-mates' results; ``error`` reads ``"Type: message"``.  With
-    ``fail_fast`` the chunk stops at its first failure instead, and that
-    outcome carries the exception object as ``value`` and its formatted
-    traceback as ``error`` for the parent to re-raise.  ``faults`` (a
+    ``fail_fast`` the first exception propagates unchanged instead (out
+    of a pool, ``concurrent.futures`` chains the worker traceback as its
+    ``__cause__``).  ``faults`` (a
     :class:`~repro.faults.procfault.ProcFaultPlan` or ``None``) injects
     process-level failures first: ``crash`` exits the process without
     cleanup, ``hang`` sleeps past any reasonable deadline, ``raise``
     records an injected error.  ``runs`` carries each task's 1-based
     evaluation count so transient schedules can clear on retry.
+    ``emit`` (in-process runs only) receives each outcome as soon as it
+    is produced, instead of the returned list, so the caller can
+    checkpoint shard by shard.
 
     Returns the outcomes plus the chunk's telemetry (task span, measured
     wall seconds, pid) for :attr:`SweepStats.worker_events`.
     """
     t0 = time.perf_counter()
-    outcomes: List[Tuple[int, bool, Any, Optional[str]]] = []
+    outcomes: List[_Outcome] = []
+    record = outcomes.append if emit is None else emit
     for index, task in chunk:
         if faults is not None:
             action = faults.action(index, runs[index])
@@ -369,22 +367,17 @@ def _run_chunk_guarded(fn: Callable[[Any], Any],
             elif action == "hang":
                 time.sleep(faults.hang_seconds)
             elif action == "raise":
-                outcomes.append((index, False, None,
-                                 f"ProcFaultError: injected raise "
-                                 f"(task {index})"))
+                record((index, False, None,
+                        f"ProcFaultError: injected raise (task {index})"))
                 continue
         try:
             value = fn(task)
         except BaseException as exc:  # noqa: BLE001 — quarantine wants all
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+            if fail_fast or isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            if fail_fast:
-                outcomes.append((index, False, exc, traceback.format_exc()))
-                break
-            outcomes.append((index, False, None,
-                             f"{type(exc).__name__}: {exc}"))
+            record((index, False, None, f"{type(exc).__name__}: {exc}"))
         else:
-            outcomes.append((index, True, value, None))
+            record((index, True, value, None))
     telemetry = {
         "lo": chunk[0][0],
         "hi": chunk[-1][0],
@@ -428,10 +421,12 @@ class _Supervisor:
 
     :meth:`run_serial` evaluates the chunk queue in-process and
     :meth:`run_pool` over a process pool; both run the same worker body
-    and hand every outcome to :meth:`_absorb`, the one place where a
-    failed task is attributed.  With ``fail_fast`` a failure is raised
-    there (and a lost worker where it is detected); otherwise it is
-    penalized under ``policy``.
+    and hand every outcome to :meth:`_attribute`, which checkpoints a
+    completed task and penalizes a failed one under ``policy``.  With
+    ``fail_fast`` nothing is penalized: the worker body re-raises the
+    task's exception (out of ``future.result()`` when pooled) and a lost
+    worker raises where it is detected; :meth:`run_pool` kills the pool
+    on the way out.
 
     Failure attribution protocol (pool): when the pool breaks (a worker
     died) every in-flight chunk is *suspect* — guilt is unknowable
@@ -478,6 +473,8 @@ class _Supervisor:
         """Evaluate the queue in this process: the misses as one chunk,
         in task order, then any retries, one task each.
 
+        Each outcome is attributed as soon as its task returns, so every
+        completed shard is checkpointed before the next one starts.
         Raised exceptions (and injected ``raise`` faults) are retried
         and quarantined exactly like the pooled path.  Injected
         ``crash`` / ``hang`` faults act on *this* process — a crash
@@ -489,8 +486,11 @@ class _Supervisor:
             chunk = self.queue.popleft()
             runs = self._next_runs(chunk)
             self.runs.update(runs)
-            self._absorb(chunk, *_run_chunk_guarded(
-                self.fn, chunk, self.faults, runs, self.fail_fast))
+            tasks = dict(chunk)
+            _, telemetry = _run_chunk_guarded(
+                self.fn, chunk, self.faults, runs, self.fail_fast,
+                emit=lambda outcome: self._attribute(tasks, *outcome))
+            self._heartbeat(telemetry)
 
     # -- pool lifecycle -----------------------------------------------------
     def _size_pool(self, workers: int) -> None:
@@ -579,21 +579,16 @@ class _Supervisor:
         self.queue.appendleft(list(chunk))
 
     # -- gather -------------------------------------------------------------
-    def _absorb(self, chunk: List[Tuple[int, Any]],
-                outcomes: List[Tuple[int, bool, Any, Optional[str]]],
-                telemetry: Dict[str, Any]) -> None:
+    def _attribute(self, tasks: Dict[int, Any], index: int, ok: bool,
+                   value: Any, error: Optional[str]) -> None:
+        """Checkpoint a completed task or penalize a failed one."""
+        if ok:
+            self.checkpoint(index, value)
+        else:
+            self._penalize([(index, tasks[index])], "error", error)
+
+    def _heartbeat(self, telemetry: Dict[str, Any]) -> None:
         self.gathered += 1
-        task_by_index = dict(chunk)
-        for index, ok, value, error in outcomes:
-            if ok:
-                self.checkpoint(index, value)
-            elif self.fail_fast:
-                if value.__traceback__ is None:  # crossed a process
-                    raise value from _RemoteTraceback(error)
-                raise value
-            else:
-                self._penalize([(index, task_by_index[index])],
-                               "error", error)
         self.stats.worker_events.append({
             "chunk": self.gathered - 1, "done": self.gathered,
             "total": self.gathered + len(self.queue)
@@ -654,12 +649,16 @@ class _Supervisor:
                 outcomes, telemetry = future.result()
             except (BrokenExecutor, OSError):
                 # the worker died (or the result transport collapsed
-                # with it) — guilt is attributed below, not here
+                # with it) — guilt is attributed below, not here; a
+                # fail-fast task's own OSError also lands here
                 if self.fail_fast:
                     raise
                 broken.append(chunk)
                 continue
-            self._absorb(chunk, outcomes, telemetry)
+            tasks = dict(chunk)
+            for outcome in outcomes:
+                self._attribute(tasks, *outcome)
+            self._heartbeat(telemetry)
         if broken:
             # The pool is dead: every still-in-flight chunk was killed
             # with it.  A lone broken chunk with no bystanders is
@@ -727,7 +726,8 @@ def sweep_map(fn: Callable[[Any], Any], tasks: Sequence[Any],
     * **fail fast** (none of ``policy`` / ``journal_dir`` / ``resume`` /
       ``proc_faults`` given): the first exception raised by ``fn``
       propagates unchanged (same type and message; shards completed
-      before it are already cached), a lost worker raises its
+      before it are already cached when serial, from a pool only those
+      of chunks gathered before it), a lost worker raises its
       :class:`~concurrent.futures.BrokenExecutor`, the pool is killed
       first and nothing is retried;
     * **supervised** (any of them given): lost and hung workers are

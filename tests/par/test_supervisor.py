@@ -230,6 +230,41 @@ class TestCheckpointResume:
         assert any(ev["kind"] == "sweep_resume"
                    for ev in stats.recovery_events)
 
+    def test_interrupted_serial_sweep_keeps_completed_shards(self,
+                                                             tmp_path):
+        tasks = list(range(6))
+        evaluated = []
+        interrupt = {3}
+
+        def interrupt_at_3(x):
+            if x in interrupt:
+                raise KeyboardInterrupt
+            evaluated.append(x)
+            return _double(x)
+
+        kwargs = dict(key_fn=_key, journal_dir=str(tmp_path))
+        with pytest.raises(KeyboardInterrupt):
+            sweep_map(interrupt_at_3, tasks, jobs=1, policy=SweepPolicy(),
+                      cache=ResultCache(directory=str(tmp_path)), **kwargs)
+        assert evaluated == [0, 1, 2]
+        (journal,) = tmp_path.glob("sweep-*.jsonl")
+        done = [r["index"] for r in read_journal(str(journal))
+                if r["kind"] == "shard_done"]
+        assert done == [0, 1, 2]
+        disk = ResultCache(directory=str(tmp_path))
+        assert [disk.lookup(_key(t)) for t in range(3)] == [
+            (True, _double(t)) for t in range(3)]
+
+        interrupt.clear()
+        stats = SweepStats()
+        out = sweep_map(interrupt_at_3, tasks, jobs=1, resume=True,
+                        stats=stats,
+                        cache=ResultCache(directory=str(tmp_path)),
+                        **kwargs)
+        assert out == [_double(t) for t in tasks]
+        assert evaluated[3:] == [3, 4, 5]
+        assert stats.executed == 3 and stats.resumed == 3
+
     def test_resume_journals_an_orphaned_cache_entry(self, tmp_path):
         # a kill between shard 3's cache put and its journal line leaves
         # a cached value the journal lacks
