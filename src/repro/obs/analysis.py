@@ -394,7 +394,8 @@ def render_report(kind: str, data: Any, top: int = DEFAULT_TOP) -> str:
                          f"shards restored from a previous run")
         for ev in summary.worker_lost:
             span = (f"tasks {ev.get('lo')}-{ev.get('hi')}"
-                    if ev.get("lo") is not None else "?")
+                    if ev.get("lo") is not None
+                    else f"{ev.get('suspects')} suspect chunks")
             lines.append(f"  worker lost ({ev.get('reason')}): {span}")
         for ev in summary.chunk_retries:
             lines.append(f"  {ev.get('action', 'retry')} "

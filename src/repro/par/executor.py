@@ -661,20 +661,23 @@ class _Supervisor:
             self._heartbeat(telemetry)
         if broken:
             # The pool is dead: every still-in-flight chunk was killed
-            # with it.  A lone broken chunk with no bystanders is
-            # guilty by elimination; otherwise nobody can be blamed
-            # pool-wide, so all of them re-run in isolation.
-            bystanders = list(self.inflight.values())
+            # with it, and one break is one lost worker.  A lone chunk
+            # in flight is guilty by elimination; otherwise nobody can
+            # be blamed pool-wide, so all of them re-run in isolation.
+            suspects = broken + list(self.inflight.values())
             self.inflight.clear()
             self._respawn()
-            for chunk in broken:
+            if len(suspects) == 1:
+                chunk = suspects[0]
                 self.stats.recovery("worker_lost", reason="crash",
                                     lo=chunk[0][0], hi=chunk[-1][0],
                                     tasks=len(chunk))
-            if len(broken) == 1 and not bystanders:
-                self._penalize(broken[0], "crash")
+                self._penalize(chunk, "crash")
             else:
-                self.suspects.extend(broken + bystanders)
+                self.stats.recovery("worker_lost", reason="crash",
+                                    suspects=len(suspects),
+                                    tasks=sum(map(len, suspects)))
+                self.suspects.extend(suspects)
             return
         if self.deadlines:
             now = time.monotonic()

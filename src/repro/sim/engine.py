@@ -26,14 +26,18 @@ pop in exactly the order the single-heap implementation would have.  The
 fired order (and therefore every virtual time) is bit-identical to the
 pure-heap kernel; only the wall-clock cost changes.
 
-The untraced ``run()`` loop additionally *coalesces* work instead of
-dispatching one ``step()`` per event: a zero-delay cascade drains the
-deque in one inner loop under a cached barrier (the earliest heap/SoA
-head — safe because batch APIs only admit strictly-future times, so no
-new entry scheduled during the drain can preempt it), and a run of
-SoA entries drains with a vectorized ``searchsorted`` bound plus an
-O(1) pointer to the next real Event payload.  Anonymous ticks (``None``
+One fire loop pops the three queues and *coalesces* work instead of
+dispatching one call per event: a zero-delay cascade drains the deque
+in one inner loop under a cached barrier (the earliest heap/SoA head —
+safe because batch APIs only admit strictly-future times, so no new
+entry scheduled during the drain can preempt it), and a run of SoA
+entries drains with a vectorized ``searchsorted`` bound plus an O(1)
+pointer to the next real Event payload.  Anonymous ticks (``None``
 payloads) advance the clock without touching a single Python object.
+The loop fires at most a given number of entries: ``step()`` asks for
+one, and ``run()`` asks for chunks that end exactly where the watchdog
+and the tracer check in, so budgets and queue-depth samples fall on the
+same event as a per-event check would.
 
 Process resumption on an already-fired event similarly skips the relay
 :class:`Event` allocation: a lightweight :class:`_Resume` token carrying
@@ -44,6 +48,7 @@ recursive) resumption order.
 from __future__ import annotations
 
 import heapq
+import sys
 import time as _time
 from collections import deque
 from itertools import count
@@ -257,9 +262,10 @@ class Simulator:
 
     ``tracer`` (default: the shared :data:`~repro.obs.tracer.NULL_TRACER`)
     receives engine spans when enabled: process start instants and
-    lifetime spans, plus queue-depth counter samples from the traced run
-    loop.  The disabled path costs one cached-boolean branch per site —
-    the untraced ``run()`` loop is untouched.
+    lifetime spans, plus queue-depth counter samples taken by ``run()``
+    every ``_TRACE_SAMPLE_EVERY`` events.  The disabled path costs one
+    cached-boolean branch per site, and an untraced ``run()`` without
+    budgets fires its whole schedule in one uninterrupted chunk.
     """
 
     def __init__(self, tracer: Any = None) -> None:
@@ -436,67 +442,9 @@ class Simulator:
         Raises :class:`SimulationError` when nothing is scheduled (an
         empty schedule is a caller bug, not an engine state).
         """
-        imm = self._imm
-        heap = self._heap
-        if self._soa_head is not None:
-            self._step_three_way()
-            return
-        if imm:
-            # The deque is sorted by (time, seq); pop whichever head is
-            # earlier so the fired order matches the single-heap kernel.
-            # Sequence numbers are unique, so the tuple comparison never
-            # reaches the (incomparable) event payloads.
-            if heap and heap[0] < imm[0]:
-                when, _seq, event = heapq.heappop(heap)
-            else:
-                when, _seq, event = imm.popleft()
-        elif heap:
-            when, _seq, event = heapq.heappop(heap)
-        else:
+        if not (self._imm or self._heap or self._soa_head is not None):
             raise SimulationError("step() called with no scheduled events")
-        self._now = when
-        event._process_callbacks()
-
-    def _step_three_way(self) -> None:
-        """``step()`` with a non-empty SoA run: compare all three heads."""
-        imm = self._imm
-        heap = self._heap
-        soa_key = self._soa_head
-        best: Optional[Tuple[float, int]] = None
-        if imm:
-            head = imm[0]
-            best = (head[0], head[1])
-        if heap:
-            hk = (heap[0][0], heap[0][1])
-            if best is None or hk < best:
-                best = hk
-        if best is None or soa_key < best:
-            self._fire_soa_one()
-            return
-        if imm and best == (imm[0][0], imm[0][1]):
-            when, _seq, event = imm.popleft()
-        else:
-            when, _seq, event = heapq.heappop(heap)
-        self._now = when
-        event._process_callbacks()
-
-    def _fire_soa_one(self) -> None:
-        """Fire exactly the earliest SoA entry (single-step granularity)."""
-        soa = self._soa
-        i = soa.pos
-        event = soa.events[i]
-        self._now = float(soa.times[i])
-        soa.pos = i + 1
-        soa.fired += 1
-        if event is not None:
-            soa.ev_ptr += 1
-        self._soa_head = soa.head()
-        if event is None:
-            return
-        if type(event) is TickBatch:
-            event._complete_now()
-        else:
-            event._process_callbacks()
+        self._fire(None, 1)
 
     # -- diagnostics -----------------------------------------------------------
     def blocked_labels(self, limit: Optional[int] = None) -> List[str]:
@@ -544,17 +492,92 @@ class Simulator:
         either budget raises a diagnostic :class:`WatchdogError` naming
         the still-live processes — turning runaway or silently-wrong
         simulations into actionable failures.  The watchdog and tracing
-        run in a separate guarded loop so the ordinary hot loop stays
-        untouched.
+        are a hook between chunks of the one fire loop: each chunk ends
+        at the next trip point (event ``max_events + 1``, every
+        ``_WATCHDOG_CHECK_EVERY``-th event with a wall budget, every
+        ``_TRACE_SAMPLE_EVERY``-th when tracing), so budgets trip and
+        ``queue_depth`` samples land on the exact event a per-event
+        check would.  With neither armed, the whole run is one chunk.
+        When tracing, fired events count into :attr:`steps_traced` and
+        one more ``queue_depth`` sample closes the run.
         """
-        if (max_events is not None or max_wall_seconds is not None
-                or self._trace_on):
-            return self._run_guarded(until, max_events, max_wall_seconds)
+        crashed = self._crashed
+        trace_on = self._trace_on
+        # sys.maxsize stands in for "no budget": an int keeps the fire
+        # loop's per-event counter compares on CPython's int fast path.
+        # A negative budget trips on the first event, like zero.
+        budget = (sys.maxsize if max_events is None
+                  else max(int(max_events), 0))
+        deadline = (None if max_wall_seconds is None
+                    else _time.monotonic() + max_wall_seconds)
+        steps = 0
+        try:
+            while True:
+                stop = budget + 1
+                if deadline is not None:
+                    stop = min(stop, steps - steps % _WATCHDOG_CHECK_EVERY
+                               + _WATCHDOG_CHECK_EVERY)
+                if trace_on:
+                    stop = min(stop, steps - steps % _TRACE_SAMPLE_EVERY
+                               + _TRACE_SAMPLE_EVERY)
+                room = stop - steps
+                fired = self._fire(until, room)
+                if not fired:
+                    break
+                steps += fired
+                if steps > budget:
+                    raise WatchdogError(
+                        f"simulation exceeded max_events={max_events} at "
+                        f"t={self._now:g} with {self._live_processes} live "
+                        f"process(es){self._blocked_detail()}"
+                    )
+                if (deadline is not None
+                        and steps % _WATCHDOG_CHECK_EVERY == 0
+                        and _time.monotonic() > deadline):
+                    raise WatchdogError(
+                        f"simulation exceeded max_wall_seconds="
+                        f"{max_wall_seconds} after {steps} events at "
+                        f"t={self._now:g} with {self._live_processes} live "
+                        f"process(es){self._blocked_detail()}"
+                    )
+                if trace_on and steps % _TRACE_SAMPLE_EVERY == 0:
+                    self.tracer.counter("engine", "queue_depth", self._now,
+                                        len(self._imm) + len(self._heap)
+                                        + len(self._soa))
+                if crashed:
+                    self._raise_crashed(*crashed[0])
+                if fired < room:
+                    break
+            if self._live_processes > 0 and until is None:
+                self._raise_deadlock()
+        finally:
+            if trace_on:
+                self._steps_traced += steps
+        if trace_on:
+            self.tracer.counter("engine", "queue_depth", self._now,
+                                len(self._imm) + len(self._heap)
+                                + len(self._soa))
+        return self._now
+
+    def _fire(self, until: Optional[float], limit: int) -> int:
+        """Fire at most ``limit`` entries in ``(time, seq)`` order.
+
+        Returns the number fired, counting one immediate-deque pop, one
+        heap pop or one SoA entry (anonymous ticks included) each.  Stops
+        early when the queues drain, when the next entry lies past
+        ``until`` (the clock then lands on ``until``), or right after an
+        entry whose callbacks crashed a process (the caller raises).
+
+        A zero-delay cascade drains the deque in one inner loop under a
+        cached barrier, and a run of SoA entries drains in
+        :meth:`_drain_soa`; both stop at the remaining allowance.
+        """
         imm = self._imm
         heap = self._heap
         crashed = self._crashed
         heappop = heapq.heappop
-        while imm or heap or self._soa_head is not None:
+        fired = 0
+        while fired < limit and (imm or heap or self._soa_head is not None):
             if until is not None and self.peek() > until:
                 self._now = until
                 break
@@ -562,6 +585,8 @@ class Simulator:
             if imm:
                 head = imm[0]
                 heap_head = heap[0] if heap else None
+                # Sequence numbers are unique, so tuple comparisons
+                # never reach the (incomparable) event payloads.
                 if ((heap_head is None or head < heap_head)
                         and (soa_key is None or head[0] < soa_key[0]
                              or (head[0] == soa_key[0]
@@ -581,14 +606,15 @@ class Simulator:
                     else:
                         bar_t = None
                     if bar_t is None:
-                        while imm:
+                        while imm and fired < limit:
                             when, _seq, event = imm.popleft()
                             self._now = when
                             event._process_callbacks()
+                            fired += 1
                             if crashed:
-                                self._raise_crashed(*crashed[0])
+                                return fired
                     else:
-                        while imm:
+                        while imm and fired < limit:
                             head = imm[0]
                             if (head[0] > bar_t
                                     or (head[0] == bar_t and head[1] > bar_s)):
@@ -596,8 +622,9 @@ class Simulator:
                             imm.popleft()
                             self._now = head[0]
                             head[2]._process_callbacks()
+                            fired += 1
                             if crashed:
-                                self._raise_crashed(*crashed[0])
+                                return fired
                     continue
             # Earliest pending entry sits on the heap or the SoA run.
             if heap and (soa_key is None
@@ -605,33 +632,34 @@ class Simulator:
                 when, _seq, event = heappop(heap)
                 self._now = when
                 event._process_callbacks()
+                fired += 1
             else:
-                self._drain_soa(until)
+                fired += self._drain_soa(until, limit - fired)
             if crashed:
-                self._raise_crashed(*crashed[0])
-        else:
-            if self._live_processes > 0 and until is None:
-                self._raise_deadlock()
-        return self._now
+                break
+        return fired
 
-    def _drain_soa(self, until: Optional[float]) -> None:
-        """Fire a run of SoA entries without per-event dispatch.
+    def _drain_soa(self, until: Optional[float], room: int) -> int:
+        """Fire up to ``room`` SoA entries without per-event dispatch.
 
-        Precondition (guaranteed by the ``run()`` loop): the earliest
-        SoA entry is the globally earliest pending event and, when
-        ``until`` is set, fires at or before it — so at least one entry
-        is always in range.  The drain stops at the earliest immediate/
-        heap key (``searchsorted`` on the time column), at ``until``, or
-        at the first payload that runs user code (a real :class:`Event`
-        with callbacks, or a :class:`TickBatch` completion) — returning
-        to the main loop keeps the array snapshot below valid, since
+        Precondition (guaranteed by :meth:`_fire`): the earliest SoA
+        entry is the globally earliest pending event, ``room >= 1`` and,
+        when ``until`` is set, that entry fires at or before it — so at
+        least one entry is always in range.  The drain stops after
+        ``room`` entries, at the earliest immediate/heap key
+        (``searchsorted`` on the time column), at ``until``, or at the
+        first payload that runs user code (a real :class:`Event` with
+        callbacks, or a :class:`TickBatch` completion) — returning to
+        the fire loop keeps the array snapshot below valid, since
         anonymous ticks and callback-free events never schedule.
+        Returns the number of entries fired.
         """
         soa = self._soa
         times = soa.times
         events = soa.events
         n = times.size
-        limit = n
+        i = soa.pos
+        limit = n if room >= n - i else i + room
         imm = self._imm
         heap = self._heap
         bar: Optional[Tuple[float, int]] = None
@@ -658,8 +686,7 @@ class Simulator:
         ev_positions = soa.ev_positions
         ev_ptr = soa.ev_ptr
         n_ev = ev_positions.size
-        fired = soa.fired
-        i = soa.pos
+        fired0 = fired = soa.fired
         while i < limit:
             nxt = int(ev_positions[ev_ptr]) if ev_ptr < n_ev else n
             if nxt >= limit:
@@ -683,14 +710,14 @@ class Simulator:
                 soa.fired = fired
                 self._soa_head = soa.head()
                 event._complete_now()
-                return
+                return fired - fired0
             if event.callbacks:
                 soa.pos = i
                 soa.ev_ptr = ev_ptr
                 soa.fired = fired
                 self._soa_head = soa.head()
                 event._process_callbacks()
-                return
+                return fired - fired0
             # Callback-free Event: firing is just the state flip
             # Event._process_callbacks would have performed.
             event._state = _PROCESSED
@@ -698,65 +725,7 @@ class Simulator:
         soa.ev_ptr = ev_ptr
         soa.fired = fired
         self._soa_head = soa.head()
-
-    def _run_guarded(self, until: Optional[float],
-                     max_events: Optional[int],
-                     max_wall_seconds: Optional[float]) -> float:
-        """Instrumented twin of the ``run()`` loop: watchdog and tracing.
-
-        Fires the exact same event sequence (it delegates to ``step()``).
-        The event budget costs one compare per step; wall time is sampled
-        every ``_WATCHDOG_CHECK_EVERY`` steps.  When tracing, it counts
-        steps into :attr:`steps_traced` and samples the pending-queue
-        depth as an ``engine`` counter track every
-        ``_TRACE_SAMPLE_EVERY`` steps and once more when the run ends.
-        """
-        step = self.step
-        crashed = self._crashed
-        trace_on = self._trace_on
-        tracer = self.tracer
-        budget = float("inf") if max_events is None else int(max_events)
-        deadline = (None if max_wall_seconds is None
-                    else _time.monotonic() + max_wall_seconds)
-        steps = 0
-        try:
-            while self._imm or self._heap or self._soa_head is not None:
-                if until is not None and self.peek() > until:
-                    self._now = until
-                    break
-                step()
-                steps += 1
-                if steps > budget:
-                    raise WatchdogError(
-                        f"simulation exceeded max_events={max_events} at "
-                        f"t={self._now:g} with {self._live_processes} live "
-                        f"process(es){self._blocked_detail()}"
-                    )
-                if (deadline is not None
-                        and steps % _WATCHDOG_CHECK_EVERY == 0
-                        and _time.monotonic() > deadline):
-                    raise WatchdogError(
-                        f"simulation exceeded max_wall_seconds="
-                        f"{max_wall_seconds} after {steps} events at "
-                        f"t={self._now:g} with {self._live_processes} live "
-                        f"process(es){self._blocked_detail()}"
-                    )
-                if trace_on and steps % _TRACE_SAMPLE_EVERY == 0:
-                    tracer.counter("engine", "queue_depth", self._now,
-                                   len(self._imm) + len(self._heap)
-                                   + len(self._soa))
-                if crashed:
-                    self._raise_crashed(*crashed[0])
-            else:
-                if self._live_processes > 0 and until is None:
-                    self._raise_deadlock()
-        finally:
-            if trace_on:
-                self._steps_traced += steps
-        if trace_on:
-            tracer.counter("engine", "queue_depth", self._now,
-                           len(self._imm) + len(self._heap) + len(self._soa))
-        return self._now
+        return fired - fired0
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` if none)."""

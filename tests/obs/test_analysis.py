@@ -16,7 +16,7 @@ from repro.obs.analysis import (
     render_hotspots,
     render_report,
 )
-from repro.obs.ledger import read_ledger
+from repro.obs.ledger import RunLedger, read_ledger
 from repro.obs.tracer import MemoryTracer
 
 
@@ -275,6 +275,20 @@ class TestRecoverySection:
         assert "=== recovery ===" in text
         assert "QUARANTINED" in text
         assert "injected raise" in text
+
+    def test_worker_lost_renders_span_or_suspect_count(self):
+        from repro.par import SweepStats
+
+        stats = SweepStats(tasks=4, executed=4, jobs=2, chunks=2)
+        stats.respawns = 2
+        stats.recovery("worker_lost", reason="crash", suspects=2, tasks=3)
+        stats.recovery("worker_lost", reason="crash", lo=1, hi=1, tasks=1)
+        ledger = RunLedger(None, "test", {"seed": 0})
+        ledger.sweep(stats)
+        ledger.finish("ok")
+        text = render_report("ledger", ledger.records)
+        assert "worker lost (crash): 2 suspect chunks" in text
+        assert "worker lost (crash): tasks 1-1" in text
 
     def test_unfaulted_ledgers_have_no_recovery_section(self,
                                                         chaos_ledgers):

@@ -76,20 +76,40 @@ class TestEngineTracing:
 
     @pytest.mark.parametrize("budgets", [{}, {"max_events": 10 ** 6}])
     def test_run_ends_with_a_queue_depth_sample(self, budgets):
-        # traced runs take the guarded loop, with or without a watchdog
-        tracer = MemoryTracer()
-        sim = Simulator(tracer=tracer)
+        # traced runs sample every 256th event, with or without a
+        # watchdog, however the fire loop coalesces them: a heap-timeout
+        # process and an SoA-heavy program (tick spans, batched
+        # timeouts) must both yield one sample per 256 events plus one
+        # at the end
+        def heap_program(sim):
+            def worker():
+                for _ in range(400):
+                    yield sim.timeout(1e-6)
 
-        def worker():
-            for _ in range(400):
-                yield sim.timeout(1e-6)
+            sim.process(worker(), label="w0")
 
-        sim.process(worker(), label="w0")
-        sim.run(**budgets)
-        samples = [(c.t, c.value) for c in tracer.counters
-                   if c.name == "queue_depth"]
-        assert len(samples) == sim.steps_traced // 256 + 1
-        assert samples[-1] == (sim.now, 0)
+        def soa_program(sim):
+            sim.schedule_ticks(np.arange(1, 1001) * 1e-6)
+
+            def worker():
+                batch = sim.schedule_ticks(np.full(300, 5e-7),
+                                           complete=True)
+                yield batch.completed
+                for t in sim.timeout_batch(np.arange(1, 201) * 1e-6):
+                    yield t
+
+            sim.process(worker(), label="w1")
+
+        for program in (heap_program, soa_program):
+            tracer = MemoryTracer()
+            sim = Simulator(tracer=tracer)
+            program(sim)
+            sim.run(**budgets)
+            samples = [(c.t, c.value) for c in tracer.counters
+                       if c.name == "queue_depth"]
+            assert sim.steps_traced > 400
+            assert len(samples) == sim.steps_traced // 256 + 1
+            assert samples[-1] == (sim.now, 0)
 
     def test_untraced_sim_counts_no_steps(self):
         sim = Simulator()

@@ -1,6 +1,7 @@
 """Supervised sweep execution: watchdog, retry, quarantine, resume."""
 
 import argparse
+import time
 
 import pytest
 
@@ -143,6 +144,13 @@ class TestInjectedRaise:
             "ValueError: task 1 exploded"
 
 
+def _slow_first(x):
+    # task 0 stays running long after a pool-mate's crash
+    if x == 0:
+        time.sleep(1.0)
+    return 2 * x
+
+
 def _bomb(x):
     if x == 1:
         raise ValueError("task 1 exploded")
@@ -160,6 +168,21 @@ class TestCrashAndHang:
         assert stats.respawns >= 1
         assert any(ev["kind"] == "worker_lost" and ev["reason"] == "crash"
                    for ev in stats.recovery_events)
+        assert stats.quarantined == []
+
+    def test_one_crash_logs_one_worker_lost(self):
+        # the crash breaks the pool while the slow, innocent chunk is
+        # still in flight: one loss for the break, naming both suspects
+        plan = ProcFaultPlan(faults=(
+            ProcFault(kind="crash", index=1, max_runs=1),))
+        stats = SweepStats()
+        out = sweep_map(_slow_first, [0, 1], jobs=2, chunk_size=1,
+                        policy=_lenient(), stats=stats, proc_faults=plan)
+        assert out == [0, 2]
+        lost = [ev for ev in stats.recovery_events
+                if ev["kind"] == "worker_lost" and ev["reason"] == "crash"]
+        assert stats.respawns == len(lost) == 1
+        assert lost[0]["suspects"] == 2 and "lo" not in lost[0]
         assert stats.quarantined == []
 
     def test_transient_hang_is_caught_by_the_watchdog(self):

@@ -13,6 +13,7 @@ import heapq
 import numpy as np
 import pytest
 
+from repro.obs import MemoryTracer
 from repro.sim import Simulator, TickBatch
 from repro.sim.engine import Interrupt
 
@@ -79,6 +80,31 @@ def both_engines():
     return Simulator(), HeapReferenceSimulator()
 
 
+def _step_to_end(sim):
+    while sim.peek() < float("inf"):
+        sim.step()
+
+
+#: every way to drive the optimized engine to completion: (simulator
+#: factory, driver); each must fire the reference's exact sequence
+RUN_MODES = {
+    "plain": (Simulator, lambda sim: sim.run()),
+    "guarded": (Simulator,
+                lambda sim: sim.run(max_events=10 ** 9,
+                                    max_wall_seconds=1e9)),
+    "traced": (lambda: Simulator(tracer=MemoryTracer()),
+               lambda sim: sim.run()),
+    "stepped": (Simulator, _step_to_end),
+}
+
+
+def _seeds_by_mode(seeds):
+    """(seed, mode) params; plain-mode cases keep the bare-seed id."""
+    return [pytest.param(seed, mode,
+                         id=str(seed) if mode == "plain" else f"{seed}-{mode}")
+            for seed in seeds for mode in RUN_MODES]
+
+
 def _record(log):
     return lambda ev: log.append((ev.sim.now, ev.value))
 
@@ -111,7 +137,7 @@ def _build_plan(seed, n_ops=40):
     return ops
 
 
-def _execute(sim, plan):
+def _execute(sim, plan, drive=Simulator.run):
     log = []
     for i, op in enumerate(plan):
         if op[0] == "timeout":
@@ -141,40 +167,52 @@ def _execute(sim, plan):
                 log.append((sim.now, f"P{i}-end"))
 
             sim.process(proc(sim))
-    sim.run()
+    drive(sim)
     return log
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, 42, 1234])
-def test_random_mixed_programs_match_reference(seed):
-    opt, ref = both_engines()
+@pytest.mark.parametrize("seed,mode",
+                         _seeds_by_mode([0, 1, 2, 3, 17, 42, 1234]))
+def test_random_mixed_programs_match_reference(seed, mode):
+    make, drive = RUN_MODES[mode]
+    opt, ref = make(), HeapReferenceSimulator()
     plan = _build_plan(seed)
-    log_opt = _execute(opt, plan)
+    log_opt = _execute(opt, plan, drive)
     log_ref = _execute(ref, plan)
     assert log_opt == log_ref
     assert opt.now == ref.now
 
 
-@pytest.mark.parametrize("seed", [5, 6, 7])
-def test_large_batches_match_reference(seed):
-    """Bulk SoA traffic interleaved with scalar timeouts."""
+@pytest.mark.parametrize("seed,mode", _seeds_by_mode([5, 6, 7]))
+def test_large_batches_match_reference(seed, mode):
+    """Bulk SoA traffic interleaved with scalar timeouts.
+
+    The anonymous ticks push the run past several 256-event trace
+    sample points, so the traced mode's chunk ends land inside
+    anonymous-tick spans as well as on callback events.
+    """
     rng = np.random.default_rng(seed)
     delays = rng.integers(1, 20, 200).astype(float)
     singles = rng.integers(1, 20, 30).astype(float)
+    ticks = rng.integers(1, 20, 600).astype(float)
 
-    def execute(sim):
+    def execute(sim, drive=Simulator.run):
         log = []
         ts = sim.timeout_batch(delays, values=list(range(delays.size)))
         for t in ts:
             t.callbacks.append(_record(log))
+        sim.schedule_ticks(ticks, complete=True).completed.callbacks.append(
+            lambda ev: log.append((ev.sim.now, "ticks-done")))
         for j, d in enumerate(singles.tolist()):
             t = sim.timeout(d, value=f"s{j}")
             t.callbacks.append(_record(log))
-        sim.run()
+        drive(sim)
         return log
 
-    opt, ref = both_engines()
-    assert execute(opt) == execute(ref)
+    make, drive = RUN_MODES[mode]
+    opt, ref = make(), HeapReferenceSimulator()
+    assert execute(opt, drive) == execute(ref)
+    assert opt.now == ref.now
 
 
 # -- targeted scenarios --------------------------------------------------------

@@ -1,5 +1,6 @@
 """run() watchdog budgets and the blocked-process registry."""
 
+import numpy as np
 import pytest
 
 from repro.sim import DeadlockError, Simulator, WatchdogError
@@ -45,6 +46,60 @@ class TestMaxEvents:
         guarded.process(sleeper(guarded, 2.5), label="s")
         guarded.run(max_events=10_000, max_wall_seconds=60.0)
         assert plain.now == guarded.now
+
+
+class TestTripPoint:
+    """``run(max_events=N)`` raises right after entry ``N + 1`` fires.
+
+    The fire loop coalesces cascades and SoA spans; the budget must
+    still stop it on the exact entry, never later.
+    """
+
+    N = 100
+
+    def test_zero_delay_cascade(self):
+        sim = Simulator()
+        resumes = []
+
+        def cascade(sim):
+            # finite, so a loop that overshoots the budget still returns
+            for _ in range(3 * self.N):
+                resumes.append(sim.now)
+                ev = sim.event()
+                ev.succeed()
+                yield ev
+
+        sim.process(cascade(sim), label="cascade")
+        with pytest.raises(WatchdogError, match=f"max_events={self.N}"):
+            sim.run(max_events=self.N)
+        # the start token plus N zero-delay events
+        assert len(resumes) == self.N + 1
+        assert sim.now == 0.0
+
+    def test_heap_timeout_ticker(self):
+        sim = Simulator()
+        resumes = []
+
+        def ticking(sim):
+            for _ in range(3 * self.N):
+                resumes.append(sim.now)
+                yield sim.timeout(1.0)
+
+        sim.process(ticking(sim), label="ticker")
+        with pytest.raises(WatchdogError, match=f"max_events={self.N}"):
+            sim.run(max_events=self.N)
+        # the start token plus N heap timeouts
+        assert len(resumes) == self.N + 1
+        assert sim.now == float(self.N)
+
+    def test_anonymous_tick_span(self):
+        sim = Simulator()
+        sim.schedule_ticks(np.arange(1.0, 3 * self.N + 1))
+        with pytest.raises(WatchdogError, match=f"max_events={self.N}"):
+            sim.run(max_events=self.N)
+        assert sim.batched_fired == self.N + 1
+        assert sim.batched_pending == 2 * self.N - 1
+        assert sim.now == float(self.N + 1)
 
 
 class TestMaxWallSeconds:
